@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "core/journal.h"
 #include "core/parallel.h"
 #include "core/serialization.h"
 #include "obs/trace.h"
@@ -319,8 +319,8 @@ ListBuildWeekRecord ListBuildCampaign::build_week(std::uint64_t week) {
 
     // Workers only touch their own shard state and append to their own
     // candidate vector; memory visibility comes from the joins inside
-    // for_each_shard.
-    for_each_shard(shard_count, config_.jobs, [&](std::size_t shard) {
+    // for_each_unit.
+    for_each_unit(shard_count, config_.jobs, [&](std::size_t shard) {
       ShardWeekState& state = *states[shard];
       for (std::size_t rank : wave_ranks[shard])
         state.candidates.push_back(
@@ -440,7 +440,6 @@ ListBuildResult ListBuildCampaign::run() {
   if (config_.list.urls_per_site == 0)
     throw std::invalid_argument("list build: urls_per_site must be >= 1");
 
-  const std::uint64_t digest = checkpoint_digest();
   const std::uint64_t end_week = config_.start_week + config_.weeks;
 
   // Resume: splice completed weeks inside [start_week, end_week) back
@@ -448,36 +447,23 @@ ListBuildResult ListBuildCampaign::run() {
   // out of the result but dropped from the rewritten file, which also
   // discards any torn tail a kill may have left.
   std::map<std::uint64_t, ListBuildWeekRecord> resumed;
-  std::ofstream checkpoint_out;
-  if (!config_.checkpoint_path.empty()) {
-    std::ifstream existing(config_.checkpoint_path);
-    if (existing) {
-      ListBuildCheckpoint checkpoint = read_listbuild_checkpoint(existing);
-      if (checkpoint.config_digest != digest)
-        throw std::runtime_error(
-            "list build: checkpoint was written by a different build "
-            "(seed/list/engine/profile changed)");
-      for (auto& record : checkpoint.weeks) {
-        if (record.week < config_.start_week || record.week >= end_week)
-          continue;
-        record.list.name = config_.list.name;  // not serialized
-        record.list.week = record.week;
-        resumed.insert_or_assign(record.week, std::move(record));
-      }
-      existing.close();
+  CheckpointJournal journal("list build", kListBuildCheckpointTag,
+                            config_.checkpoint_path);
+  if (auto checkpoint = journal.open(
+          read_listbuild_checkpoint, [&] { return checkpoint_digest(); },
+          "build (seed/list/engine/profile changed)")) {
+    for (auto& record : checkpoint->weeks) {
+      if (record.week < config_.start_week || record.week >= end_week)
+        continue;
+      record.list.name = config_.list.name;  // not serialized
+      record.list.week = record.week;
+      resumed.insert_or_assign(record.week, std::move(record));
     }
-    // Rewrite through a temp file + atomic rename — truncating in
-    // place had a kill window that lost already-durable week blocks.
-    std::ostringstream rewritten;
-    write_listbuild_checkpoint_header(rewritten, digest);
-    for (const auto& [week, record] : resumed)
-      append_listbuild_week(rewritten, record);
-    replace_file_atomically(config_.checkpoint_path, rewritten.str());
-    checkpoint_out.open(config_.checkpoint_path, std::ios::app);
-    if (!checkpoint_out)
-      throw std::runtime_error("list build: cannot open checkpoint " +
-                               config_.checkpoint_path);
   }
+  journal.rewrite([&](std::ostream& out) {
+    for (const auto& [week, record] : resumed)
+      append_listbuild_week(out, record);
+  });
 
   std::vector<ListBuildWeekRecord> records;
   records.reserve(config_.weeks);
@@ -488,13 +474,8 @@ ListBuildResult ListBuildCampaign::run() {
       continue;
     }
     records.push_back(build_week(week));
-    if (checkpoint_out.is_open()) {
-      // Weeks complete strictly in sequence on this thread, so appends
-      // need no lock; flushing per week bounds a kill's damage to one
-      // torn week block.
-      append_listbuild_week(checkpoint_out, records.back());
-      checkpoint_out.flush();
-    }
+    journal.append(
+        [&](std::ostream& out) { append_listbuild_week(out, records.back()); });
   }
 
   telemetry_ = obs::RunTelemetry{};

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/journal.h"
 #include "core/parallel.h"
 #include "core/serialization.h"
 #include "util/stats.h"
@@ -683,7 +682,7 @@ std::vector<SiteObservation> MeasurementCampaign::run(const HisparList& list) {
   const auto shards = shard_indices(list, shard_count);
   std::vector<SiteObservation> observations(list.sets.size());
   // Per-shard telemetry lands in disjoint slots (no synchronization
-  // needed beyond the for_each_shard joins) and is merged in shard-id
+  // needed beyond the for_each_unit joins) and is merged in shard-id
   // order below, so the merged artifacts are --jobs independent.
   std::vector<obs::ShardTelemetry> shard_telemetry(shard_count);
   // Final breaker states per shard, captured under a chaos schedule for
@@ -701,77 +700,44 @@ std::vector<SiteObservation> MeasurementCampaign::run(const HisparList& list) {
   // scratch, which makes a resumed campaign bit-identical to an
   // uninterrupted one.
   std::vector<char> shard_done(shard_count, 0);
-  std::ofstream checkpoint_out;
-  std::mutex checkpoint_mutex;
-  if (!config_.checkpoint_path.empty()) {
-    const std::uint64_t digest = checkpoint_digest(list);
-    std::ifstream existing(config_.checkpoint_path);
-    if (existing) {
-      CampaignCheckpoint checkpoint = read_checkpoint(existing);
-      if (checkpoint.config_digest != digest)
-        throw std::runtime_error(
-            "campaign: checkpoint was written by a different campaign "
-            "(seed/shards/profile/list changed)");
-      for (std::size_t shard : checkpoint.completed_shards)
-        if (shard < shard_count) shard_done[shard] = 1;
-      for (const auto& [position, observation] : checkpoint.observations)
-        if (position < observations.size())
-          observations[position] = observation;
-      // Completed shards' telemetry was checkpointed too; restoring it
-      // keeps the merged telemetry artifacts bit-identical across
-      // kill + resume.
-      for (auto& [shard, telemetry] : checkpoint.telemetry)
-        if (shard < shard_count)
-          shard_telemetry[shard] = std::move(telemetry);
-      for (auto& [shard, records] : checkpoint.breakers)
-        if (shard < shard_count) shard_breakers[shard] = std::move(records);
-      existing.close();
-    }
-    // (Re)write the file from the parsed state: a resume drops the torn
-    // tail a kill may have left, so the file stays cleanly resumable no
-    // matter how many times the campaign is interrupted. Written to a
-    // temp file and renamed over the original — truncating in place
-    // had a kill window that lost already-durable shard blocks.
-    std::ostringstream rewritten;
-    write_checkpoint_header(rewritten, digest);
-    for (std::size_t shard = 0; shard < shard_count; ++shard)
-      if (shard_done[shard])
-        append_checkpoint_shard(rewritten, shard, shards[shard],
-                                observations,
-                                shard_telemetry[shard].empty()
-                                    ? nullptr
-                                    : &shard_telemetry[shard],
-                                shard_breakers[shard].empty()
-                                    ? nullptr
-                                    : &shard_breakers[shard]);
-    replace_file_atomically(config_.checkpoint_path, rewritten.str());
-    checkpoint_out.open(config_.checkpoint_path, std::ios::app);
-    if (!checkpoint_out)
-      throw std::runtime_error("campaign: cannot open checkpoint " +
-                               config_.checkpoint_path);
+  const auto write_shard = [&](std::ostream& out, std::size_t shard) {
+    append_checkpoint_shard(out, shard, shards[shard], observations,
+                            if_present(shard_telemetry[shard]),
+                            if_present(shard_breakers[shard]));
+  };
+  CheckpointJournal journal("campaign", kCampaignCheckpointTag,
+                            config_.checkpoint_path);
+  if (auto checkpoint = journal.open(
+          read_checkpoint, [&] { return checkpoint_digest(list); },
+          "campaign (seed/shards/profile/list changed)")) {
+    for (std::size_t shard : checkpoint->completed_shards)
+      if (shard < shard_count) shard_done[shard] = 1;
+    for (const auto& [position, observation] : checkpoint->observations)
+      if (position < observations.size())
+        observations[position] = observation;
+    // Completed shards' telemetry was checkpointed too; restoring it
+    // keeps the merged telemetry artifacts bit-identical across
+    // kill + resume.
+    for (auto& [shard, telemetry] : checkpoint->telemetry)
+      if (shard < shard_count) shard_telemetry[shard] = std::move(telemetry);
+    for (auto& [shard, records] : checkpoint->breakers)
+      if (shard < shard_count) shard_breakers[shard] = std::move(records);
   }
+  journal.rewrite([&](std::ostream& out) {
+    for (std::size_t shard = 0; shard < shard_count; ++shard)
+      if (shard_done[shard]) write_shard(out, shard);
+  });
 
   // Each worker builds its shard's state on its own thread and writes
   // only to that shard's list positions, so no synchronization is needed
-  // beyond the joins in for_each_shard (and the checkpoint file mutex).
-  for_each_shard(shard_count, config_.jobs, [&](std::size_t shard) {
+  // beyond the joins in for_each_unit (and the journal's append lock).
+  for_each_unit(shard_count, config_.jobs, [&](std::size_t shard) {
     if (shard_done[shard]) return;
     ShardRun result =
         run_one_shard(shard, list, shards[shard], observations);
     shard_telemetry[shard] = std::move(result.telemetry);
     shard_breakers[shard] = std::move(result.breakers);
-    if (checkpoint_out.is_open()) {
-      const std::lock_guard<std::mutex> lock(checkpoint_mutex);
-      append_checkpoint_shard(checkpoint_out, shard, shards[shard],
-                              observations,
-                              shard_telemetry[shard].empty()
-                                  ? nullptr
-                                  : &shard_telemetry[shard],
-                              shard_breakers[shard].empty()
-                                  ? nullptr
-                                  : &shard_breakers[shard]);
-      checkpoint_out.flush();
-    }
+    journal.append([&](std::ostream& out) { write_shard(out, shard); });
   });
 
   if (config_.observability.enabled)

@@ -61,9 +61,4 @@ void for_each_unit(std::size_t unit_count, std::size_t jobs,
     if (error) std::rethrow_exception(error);
 }
 
-void for_each_shard(std::size_t shard_count, std::size_t jobs,
-                    const std::function<void(std::size_t)>& fn) {
-  for_each_unit(shard_count, jobs, fn);
-}
-
 }  // namespace hispar::core

@@ -43,9 +43,4 @@ std::vector<std::vector<std::size_t>> shard_indices(const HisparList& list,
 void for_each_unit(std::size_t unit_count, std::size_t jobs,
                    const std::function<void(std::size_t)>& fn);
 
-// Shard-flavoured alias of for_each_unit, kept for call sites that
-// schedule exactly one campaign's shards.
-void for_each_shard(std::size_t shard_count, std::size_t jobs,
-                    const std::function<void(std::size_t)>& fn);
-
 }  // namespace hispar::core

@@ -1,8 +1,8 @@
 #include "core/serialization.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -219,6 +219,64 @@ std::size_t parse_count(const std::string& s, const char* what,
   return static_cast<std::size_t>(v);
 }
 
+// The framing every checkpoint format shares: the file's lines, the
+// header's config digest, and `end`, one past the last block terminator.
+// Everything after `end` is a block torn by a killed run and is dropped;
+// everything before it must parse cleanly.
+struct Frame {
+  std::vector<std::string> lines;
+  std::uint64_t digest = 0;
+  std::size_t end = 1;
+  const char* tag = "";
+
+  // Bounds-checked access to the lines of complete blocks.
+  const std::string& need(std::size_t i) const {
+    if (i >= end) checkpoint_fail(std::string("truncated ") + tag + " block");
+    return lines[i];
+  }
+
+  // Splits line i into fields, advancing i; the record must be `kind`
+  // with exactly `count` fields.
+  std::vector<std::string> record(std::size_t& i, const char* kind,
+                                  std::size_t count) const {
+    auto fields = util::split(need(i++), ',');
+    if (fields.size() != count || fields[0] != kind)
+      checkpoint_fail(std::string("bad ") + kind + " record '" + lines[i - 1] +
+                      "'");
+    return fields;
+  }
+
+  // Consumes the `<terminator>,<ids...>` line that must close the block
+  // identified by `ids`.
+  void close(std::size_t& i, const char* terminator,
+             std::initializer_list<std::uint64_t> ids) const {
+    const auto fields = record(i, terminator, ids.size() + 1);
+    std::size_t k = 1;
+    for (const std::uint64_t id : ids)
+      if (parse_u64(fields[k++], terminator) != id)
+        checkpoint_fail("unterminated block at '" + lines[i - 1] + "'");
+  }
+};
+
+// Reads `in` whole, checks the `<tag>,v1,<digest>` header and cuts after
+// the last line starting with one of `terminators`.
+Frame read_frame(std::istream& in, const char* tag,
+                 std::initializer_list<const char*> terminators) {
+  Frame frame;
+  frame.tag = tag;
+  std::string line;
+  while (std::getline(in, line)) frame.lines.push_back(std::move(line));
+  if (frame.lines.empty()) checkpoint_fail("missing header");
+  const auto header = util::split(frame.lines[0], ',');
+  if (header.size() != 3 || header[0] != tag || header[1] != "v1")
+    checkpoint_fail("bad header '" + frame.lines[0] + "'");
+  frame.digest = parse_u64(header[2], "config digest");
+  for (std::size_t i = 1; i < frame.lines.size(); ++i)
+    for (const char* terminator : terminators)
+      if (frame.lines[i].rfind(terminator, 0) == 0) frame.end = i + 1;
+  return frame;
+}
+
 // Telemetry strings (span names, arg values) go into a comma/semicolon
 // separated format; the separators themselves are sanitized away.
 std::string obs_sanitize(std::string s) {
@@ -335,15 +393,10 @@ void write_site_record(std::ostream& out, std::size_t position,
 }
 
 // Parses one site record (site line + metrics + outcomes) starting at
-// lines[i], advancing i through the record. `need` is the caller's
-// bounds-checked accessor (its truncation message names the block
-// kind).
-template <typename Need>
-std::pair<std::size_t, SiteObservation> read_site_record(
-    const std::vector<std::string>& lines, std::size_t& i, Need&& need) {
-  const auto site = util::split(need(i++), ',');
-  if (site.size() != 10 || site[0] != "site")
-    checkpoint_fail("expected site record, got '" + lines[i - 1] + "'");
+// line i, advancing i through the record.
+std::pair<std::size_t, SiteObservation> read_site_record(const Frame& frame,
+                                                         std::size_t& i) {
+  const auto site = frame.record(i, "site", 10);
   const std::size_t position = parse_u64(site[1], "site position");
   SiteObservation o;
   o.domain = site[2];
@@ -355,19 +408,19 @@ std::pair<std::size_t, SiteObservation> read_site_record(
   o.quarantined = parse_flag(site[5], "quarantined");
   o.total_retries = parse_int(site[6], "total retries");
   const std::size_t n_internals =
-      parse_count(site[7], "internal count", lines.size());
+      parse_count(site[7], "internal count", frame.lines.size());
   const std::size_t n_outcomes =
-      parse_count(site[8], "outcome count", lines.size());
+      parse_count(site[8], "outcome count", frame.lines.size());
   const bool has_landing = parse_flag(site[9], "landing flag");
-  if (has_landing) o.landing = parse_metrics(need(i++));
+  if (has_landing) o.landing = parse_metrics(frame.need(i++));
   o.internals.reserve(n_internals);
   for (std::size_t k = 0; k < n_internals; ++k)
-    o.internals.push_back(parse_metrics(need(i++)));
+    o.internals.push_back(parse_metrics(frame.need(i++)));
   o.outcomes.reserve(n_outcomes);
   for (std::size_t k = 0; k < n_outcomes; ++k) {
-    const auto f = util::split(need(i++), ',');
+    const auto f = util::split(frame.need(i++), ',');
     if ((f.size() != 7 && f.size() != 8) || f[0] != "outcome")
-      checkpoint_fail("bad outcome record '" + lines[i - 1] + "'");
+      checkpoint_fail("bad outcome record '" + frame.lines[i - 1] + "'");
     FetchOutcome outcome;
     outcome.page_index = parse_u64(f[1], "page index");
     outcome.load_ordinal = parse_int(f[2], "load ordinal");
@@ -398,15 +451,12 @@ void write_breaker_records(
         << r.times_opened << ',' << r.denials << '\n';
 }
 
-// Consumes consecutive breaker lines starting at lines[i] (bounded by
-// `end`), advancing i.
-std::vector<net::BreakerSet::Record> read_breaker_lines(
-    const std::vector<std::string>& lines, std::size_t& i, std::size_t end) {
+// Consumes consecutive breaker lines starting at line i, advancing i.
+std::vector<net::BreakerSet::Record> read_breaker_lines(const Frame& frame,
+                                                        std::size_t& i) {
   std::vector<net::BreakerSet::Record> records;
-  while (i < end && lines[i].rfind("breaker,", 0) == 0) {
-    const auto f = util::split(lines[i++], ',');
-    if (f.size() != 7)
-      checkpoint_fail("bad breaker record '" + lines[i - 1] + "'");
+  while (i < frame.end && frame.lines[i].rfind("breaker,", 0) == 0) {
+    const auto f = frame.record(i, "breaker", 7);
     net::BreakerSet::Record record;
     record.key = f[1];
     const int state = parse_int(f[2], "breaker state");
@@ -451,14 +501,14 @@ void write_obs_telemetry(std::ostream& out,
   out << "obsdropped," << telemetry.spans_dropped << '\n';
 }
 
-// Consumes consecutive obs* lines starting at lines[i] (bounded by
-// `end`), advancing i; returns whether any were present.
-bool read_obs_lines(const std::vector<std::string>& lines, std::size_t& i,
-                    std::size_t end, obs::ShardTelemetry& telemetry) {
+// Consumes consecutive obs* lines starting at line i, advancing i;
+// returns whether any were present.
+bool read_obs_lines(const Frame& frame, std::size_t& i,
+                    obs::ShardTelemetry& telemetry) {
   bool has_telemetry = false;
-  while (i < end && lines[i].rfind("obs", 0) == 0) {
+  while (i < frame.end && frame.lines[i].rfind("obs", 0) == 0) {
     has_telemetry = true;
-    const auto f = util::split(lines[i++], ',');
+    const auto f = util::split(frame.lines[i++], ',');
     if (f[0] == "obscounter" && f.size() == 3) {
       telemetry.metrics.counter(f[1]) = parse_u64(f[2], "obs counter");
     } else if (f[0] == "obsgauge" && f.size() == 3) {
@@ -472,7 +522,7 @@ bool read_obs_lines(const std::vector<std::string>& lines, std::size_t& i,
       for (const auto& c : util::split(f[3], ';'))
         if (!c.empty()) counts.push_back(parse_u64(c, "obs bucket"));
       if (counts.size() != bounds.size() + 1)
-        checkpoint_fail("bad obs histogram '" + lines[i - 1] + "'");
+        checkpoint_fail("bad obs histogram '" + frame.lines[i - 1] + "'");
       h.counts = std::move(counts);
       h.count = parse_u64(f[4], "obs hist count");
       h.sum = parse_double(f[5], "obs hist sum");
@@ -495,7 +545,7 @@ bool read_obs_lines(const std::vector<std::string>& lines, std::size_t& i,
     } else if (f[0] == "obsdropped" && f.size() == 2) {
       telemetry.spans_dropped = parse_u64(f[1], "obs dropped");
     } else {
-      checkpoint_fail("bad obs record '" + lines[i - 1] + "'");
+      checkpoint_fail("bad obs record '" + frame.lines[i - 1] + "'");
     }
   }
   return has_telemetry;
@@ -503,8 +553,9 @@ bool read_obs_lines(const std::vector<std::string>& lines, std::size_t& i,
 
 }  // namespace
 
-void write_checkpoint_header(std::ostream& out, std::uint64_t config_digest) {
-  out << "hispar-checkpoint,v1," << config_digest << '\n';
+void write_checkpoint_header(std::ostream& out, const std::string& tag,
+                             std::uint64_t config_digest) {
+  out << tag << ",v1," << config_digest << '\n';
 }
 
 void append_checkpoint_shard(std::ostream& out, std::size_t shard,
@@ -524,67 +575,38 @@ void append_checkpoint_shard(std::ostream& out, std::size_t shard,
 }
 
 CampaignCheckpoint read_checkpoint(std::istream& in) {
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  if (lines.empty()) checkpoint_fail("missing header");
-  const auto header = util::split(lines[0], ',');
-  if (header.size() != 3 || header[0] != "hispar-checkpoint" ||
-      header[1] != "v1")
-    checkpoint_fail("bad header '" + lines[0] + "'");
-
+  const Frame frame = read_frame(in, kCampaignCheckpointTag, {"endshard,"});
   CampaignCheckpoint checkpoint;
-  checkpoint.config_digest = parse_u64(header[2], "config digest");
-
-  // Everything after the last endshard terminator is a block torn by a
-  // killed campaign: drop it. What remains must parse cleanly.
-  std::size_t end = 1;
-  for (std::size_t i = 1; i < lines.size(); ++i)
-    if (lines[i].rfind("endshard,", 0) == 0) end = i + 1;
-
-  const auto need = [&](std::size_t i) -> const std::string& {
-    if (i >= end) checkpoint_fail("truncated shard record");
-    return lines[i];
-  };
+  checkpoint.config_digest = frame.digest;
 
   std::size_t i = 1;
-  while (i < end) {
-    const auto shard_fields = util::split(need(i++), ',');
-    if (shard_fields.size() != 3 || shard_fields[0] != "shard")
-      checkpoint_fail("expected shard record, got '" + lines[i - 1] + "'");
+  while (i < frame.end) {
+    const auto shard_fields = frame.record(i, "shard", 3);
     const std::size_t shard_id = parse_u64(shard_fields[1], "shard id");
     const std::size_t n_sites =
-        parse_count(shard_fields[2], "site count", lines.size());
+        parse_count(shard_fields[2], "site count", frame.lines.size());
 
     for (std::size_t s = 0; s < n_sites; ++s)
-      checkpoint.observations.push_back(read_site_record(lines, i, need));
+      checkpoint.observations.push_back(read_site_record(frame, i));
 
     // Optional breaker block (shards run under a chaos schedule).
     std::vector<net::BreakerSet::Record> breakers =
-        read_breaker_lines(lines, i, end);
+        read_breaker_lines(frame, i);
     if (!breakers.empty())
       checkpoint.breakers.emplace(shard_id, std::move(breakers));
 
     // Optional telemetry block (shards run with observability enabled).
     obs::ShardTelemetry telemetry;
-    if (read_obs_lines(lines, i, end, telemetry))
+    if (read_obs_lines(frame, i, telemetry))
       checkpoint.telemetry.emplace(shard_id, std::move(telemetry));
 
-    const auto end_fields = util::split(need(i++), ',');
-    if (end_fields.size() != 2 || end_fields[0] != "endshard" ||
-        parse_u64(end_fields[1], "endshard id") != shard_id)
-      checkpoint_fail("unterminated shard " + std::to_string(shard_id));
+    frame.close(i, "endshard", {shard_id});
     checkpoint.completed_shards.push_back(shard_id);
   }
   return checkpoint;
 }
 
 // --- List-build checkpoints ---
-
-void write_listbuild_checkpoint_header(std::ostream& out,
-                                       std::uint64_t config_digest) {
-  out << "hispar-listbuild,v1," << config_digest << '\n';
-}
 
 void append_listbuild_week(std::ostream& out,
                            const ListBuildWeekRecord& record) {
@@ -613,67 +635,40 @@ void append_listbuild_week(std::ostream& out,
 }
 
 ListBuildCheckpoint read_listbuild_checkpoint(std::istream& in) {
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  if (lines.empty()) checkpoint_fail("missing header");
-  const auto header = util::split(lines[0], ',');
-  if (header.size() != 3 || header[0] != "hispar-listbuild" ||
-      header[1] != "v1")
-    checkpoint_fail("bad header '" + lines[0] + "'");
-
+  const Frame frame = read_frame(in, kListBuildCheckpointTag, {"endweek,"});
   ListBuildCheckpoint checkpoint;
-  checkpoint.config_digest = parse_u64(header[2], "config digest");
-
-  // Everything after the last endweek terminator is a block torn by a
-  // killed build: drop it. What remains must parse cleanly.
-  std::size_t end = 1;
-  for (std::size_t i = 1; i < lines.size(); ++i)
-    if (lines[i].rfind("endweek,", 0) == 0) end = i + 1;
-
-  const auto need = [&](std::size_t i) -> const std::string& {
-    if (i >= end) checkpoint_fail("truncated week record");
-    return lines[i];
-  };
+  checkpoint.config_digest = frame.digest;
 
   std::size_t i = 1;
-  while (i < end) {
-    const auto week_fields = util::split(need(i++), ',');
-    if (week_fields.size() != 3 || week_fields[0] != "week")
-      checkpoint_fail("expected week record, got '" + lines[i - 1] + "'");
+  while (i < frame.end) {
+    const auto week_fields = frame.record(i, "week", 3);
     ListBuildWeekRecord record;
     record.week = parse_u64(week_fields[1], "week");
     record.list.week = record.week;
     record.stats.week = record.week;
     const std::size_t n_sets =
-        parse_count(week_fields[2], "set count", lines.size());
+        parse_count(week_fields[2], "set count", frame.lines.size());
 
     record.list.sets.reserve(n_sets);
     for (std::size_t s = 0; s < n_sets; ++s) {
-      const auto set_fields = util::split(need(i++), ',');
-      if (set_fields.size() != 4 || set_fields[0] != "set")
-        checkpoint_fail("expected set record, got '" + lines[i - 1] + "'");
+      const auto set_fields = frame.record(i, "set", 4);
       UrlSet set;
       set.domain = set_fields[1];
       set.bootstrap_rank = parse_u64(set_fields[2], "rank");
       const std::size_t n_urls =
-          parse_count(set_fields[3], "url count", lines.size());
+          parse_count(set_fields[3], "url count", frame.lines.size());
       set.urls.reserve(n_urls);
       set.page_indices.reserve(n_urls);
       for (std::size_t u = 0; u < n_urls; ++u) {
-        const auto url_fields = util::split(need(i++), ',');
-        if (url_fields.size() != 3 || url_fields[0] != "url")
-          checkpoint_fail("bad url record '" + lines[i - 1] + "'");
+        const auto url_fields = frame.record(i, "url", 3);
         set.page_indices.push_back(parse_u64(url_fields[1], "page index"));
         set.urls.push_back(url_fields[2]);
       }
       record.list.sets.push_back(std::move(set));
     }
 
-    const auto stat_fields = util::split(need(i++), ',');
-    if (stat_fields.size() != 9 + net::kSearchFaultKindCount ||
-        stat_fields[0] != "weekstats")
-      checkpoint_fail("bad weekstats record '" + lines[i - 1] + "'");
+    const auto stat_fields =
+        frame.record(i, "weekstats", 9 + net::kSearchFaultKindCount);
     WeekBuildStats& stats = record.stats;
     stats.sites_examined = parse_u64(stat_fields[1], "sites examined");
     stats.sites_accepted = parse_u64(stat_fields[2], "sites accepted");
@@ -688,35 +683,22 @@ ListBuildCheckpoint read_listbuild_checkpoint(std::istream& in) {
       stats.quarantined_by[static_cast<std::size_t>(kind)] = parse_u64(
           stat_fields[9 + static_cast<std::size_t>(kind)], "quarantined by");
 
-    while (i < end && lines[i].rfind("shardtel,", 0) == 0) {
-      const auto tel_fields = util::split(need(i++), ',');
-      if (tel_fields.size() != 2)
-        checkpoint_fail("bad shardtel record '" + lines[i - 1] + "'");
-      const std::size_t shard_id = parse_u64(tel_fields[1], "shardtel id");
+    while (i < frame.end && frame.lines[i].rfind("shardtel,", 0) == 0) {
+      const std::size_t shard_id =
+          parse_u64(frame.record(i, "shardtel", 2)[1], "shardtel id");
       obs::ShardTelemetry telemetry;
-      read_obs_lines(lines, i, end, telemetry);
-      const auto tel_end = util::split(need(i++), ',');
-      if (tel_end.size() != 2 || tel_end[0] != "endshardtel" ||
-          parse_u64(tel_end[1], "endshardtel id") != shard_id)
-        checkpoint_fail("unterminated shardtel " + std::to_string(shard_id));
+      read_obs_lines(frame, i, telemetry);
+      frame.close(i, "endshardtel", {shard_id});
       record.telemetry.emplace(shard_id, std::move(telemetry));
     }
 
-    const auto end_fields = util::split(need(i++), ',');
-    if (end_fields.size() != 2 || end_fields[0] != "endweek" ||
-        parse_u64(end_fields[1], "endweek week") != record.week)
-      checkpoint_fail("unterminated week " + std::to_string(record.week));
+    frame.close(i, "endweek", {record.week});
     checkpoint.weeks.push_back(std::move(record));
   }
   return checkpoint;
 }
 
 // --- Multi-vantage checkpoints ---
-
-void write_vantage_checkpoint_header(std::ostream& out,
-                                     std::uint64_t config_digest) {
-  out << "hispar-vantage,v1," << config_digest << '\n';
-}
 
 void append_vantage_block(std::ostream& out, std::size_t vantage,
                           const std::vector<SiteObservation>& observations,
@@ -747,87 +729,44 @@ void append_vantage_shard_block(std::ostream& out, std::size_t vantage,
 }
 
 VantageCheckpoint read_vantage_checkpoint(std::istream& in) {
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  if (lines.empty()) checkpoint_fail("missing header");
-  const auto header = util::split(lines[0], ',');
-  if (header.size() != 3 || header[0] != "hispar-vantage" || header[1] != "v1")
-    checkpoint_fail("bad header '" + lines[0] + "'");
-
+  // Either block kind's terminator ends the complete prefix.
+  const Frame frame = read_frame(in, kVantageCheckpointTag,
+                                 {"endvantage,", "endvshard,"});
   VantageCheckpoint checkpoint;
-  checkpoint.config_digest = parse_u64(header[2], "config digest");
-
-  // Everything after the last terminator (of either block kind) is a
-  // block torn by a killed run: drop it. What remains must parse
-  // cleanly.
-  std::size_t end = 1;
-  for (std::size_t i = 1; i < lines.size(); ++i)
-    if (lines[i].rfind("endvantage,", 0) == 0 ||
-        lines[i].rfind("endvshard,", 0) == 0)
-      end = i + 1;
-
-  const auto need = [&](std::size_t i) -> const std::string& {
-    if (i >= end) checkpoint_fail("truncated vantage record");
-    return lines[i];
-  };
+  checkpoint.config_digest = frame.digest;
 
   std::size_t i = 1;
-  while (i < end) {
-    const auto head_fields = util::split(need(i), ',');
-    if (head_fields[0] == "vshard") {
-      ++i;
-      if (head_fields.size() != 4)
-        checkpoint_fail("bad vshard record '" + lines[i - 1] + "'");
+  // Both block kinds carry site records then optional telemetry.
+  const auto read_body = [&](auto& block, const std::string& site_count) {
+    const std::size_t n_sites =
+        parse_count(site_count, "site count", frame.lines.size());
+    block.observations.reserve(n_sites);
+    for (std::size_t s = 0; s < n_sites; ++s)
+      block.observations.push_back(read_site_record(frame, i));
+    block.has_telemetry = read_obs_lines(frame, i, block.telemetry);
+  };
+  while (i < frame.end) {
+    if (frame.need(i).rfind("vshard,", 0) == 0) {
+      const auto head = frame.record(i, "vshard", 4);
       VantageShardBlock block;
-      block.vantage = parse_u64(head_fields[1], "vshard vantage id");
-      block.shard = parse_u64(head_fields[2], "vshard shard id");
-      const std::size_t n_sites =
-          parse_count(head_fields[3], "site count", lines.size());
-      block.observations.reserve(n_sites);
-      for (std::size_t s = 0; s < n_sites; ++s)
-        block.observations.push_back(read_site_record(lines, i, need));
-      block.has_telemetry = read_obs_lines(lines, i, end, block.telemetry);
-
-      const auto end_fields = util::split(need(i++), ',');
-      if (end_fields.size() != 3 || end_fields[0] != "endvshard" ||
-          parse_u64(end_fields[1], "endvshard vantage id") != block.vantage ||
-          parse_u64(end_fields[2], "endvshard shard id") != block.shard)
-        checkpoint_fail("unterminated vshard (" +
-                        std::to_string(block.vantage) + ", " +
-                        std::to_string(block.shard) + ")");
+      block.vantage = parse_u64(head[1], "vshard vantage id");
+      block.shard = parse_u64(head[2], "vshard shard id");
+      read_body(block, head[3]);
+      frame.close(i, "endvshard", {block.vantage, block.shard});
       checkpoint.shards.push_back(std::move(block));
       continue;
     }
-
-    ++i;
-    if (head_fields.size() != 3 || head_fields[0] != "vantage")
-      checkpoint_fail("expected vantage record, got '" + lines[i - 1] + "'");
+    const auto head = frame.record(i, "vantage", 3);
     VantageCheckpointBlock block;
-    block.vantage = parse_u64(head_fields[1], "vantage id");
-    const std::size_t n_sites =
-        parse_count(head_fields[2], "site count", lines.size());
-    block.observations.reserve(n_sites);
-    for (std::size_t s = 0; s < n_sites; ++s)
-      block.observations.push_back(read_site_record(lines, i, need));
-    block.has_telemetry = read_obs_lines(lines, i, end, block.telemetry);
-
-    const auto end_fields = util::split(need(i++), ',');
-    if (end_fields.size() != 2 || end_fields[0] != "endvantage" ||
-        parse_u64(end_fields[1], "endvantage id") != block.vantage)
-      checkpoint_fail("unterminated vantage " +
-                      std::to_string(block.vantage));
+    block.vantage = parse_u64(head[1], "vantage id");
+    read_body(block, head[2]);
+    frame.close(i, "endvantage", {block.vantage});
     checkpoint.vantages.push_back(std::move(block));
   }
   return checkpoint;
 }
 
 // --- Browsing-session checkpoints ---
-
-void write_session_checkpoint_header(std::ostream& out,
-                                     std::uint64_t config_digest) {
-  out << "hispar-session,v1," << config_digest << '\n';
-}
 
 void append_session_block(std::ostream& out, std::size_t position,
                           const SiteObservation& observation,
@@ -845,44 +784,22 @@ void append_session_block(std::ostream& out, std::size_t position,
 }
 
 SessionCheckpoint read_session_checkpoint(std::istream& in) {
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  if (lines.empty()) checkpoint_fail("missing header");
-  const auto header = util::split(lines[0], ',');
-  if (header.size() != 3 || header[0] != "hispar-session" || header[1] != "v1")
-    checkpoint_fail("bad header '" + lines[0] + "'");
-
+  const Frame frame = read_frame(in, kSessionCheckpointTag, {"endsession,"});
   SessionCheckpoint checkpoint;
-  checkpoint.config_digest = parse_u64(header[2], "config digest");
-
-  // Everything after the last endsession terminator is a block torn by
-  // a killed run: drop it. What remains must parse cleanly.
-  std::size_t end = 1;
-  for (std::size_t i = 1; i < lines.size(); ++i)
-    if (lines[i].rfind("endsession,", 0) == 0) end = i + 1;
-
-  const auto need = [&](std::size_t i) -> const std::string& {
-    if (i >= end) checkpoint_fail("truncated session record");
-    return lines[i];
-  };
+  checkpoint.config_digest = frame.digest;
 
   std::size_t i = 1;
-  while (i < end) {
-    const auto session_fields = util::split(need(i++), ',');
-    if (session_fields.size() != 2 || session_fields[0] != "session")
-      checkpoint_fail("expected session record, got '" + lines[i - 1] + "'");
+  while (i < frame.end) {
     SessionCheckpointBlock block;
-    block.position = parse_u64(session_fields[1], "session position");
-    auto [position, observation] = read_site_record(lines, i, need);
+    block.position =
+        parse_u64(frame.record(i, "session", 2)[1], "session position");
+    auto [position, observation] = read_site_record(frame, i);
     if (position != block.position)
       checkpoint_fail("session/site position mismatch at session " +
                       std::to_string(block.position));
     block.observation = std::move(observation);
 
-    const auto cache_fields = util::split(need(i++), ',');
-    if (cache_fields.size() != 7 || cache_fields[0] != "cachestats")
-      checkpoint_fail("bad cachestats record '" + lines[i - 1] + "'");
+    const auto cache_fields = frame.record(i, "cachestats", 7);
     block.cache.lookups = parse_u64(cache_fields[1], "cache lookups");
     block.cache.fresh_hits = parse_u64(cache_fields[2], "cache fresh hits");
     block.cache.revalidations =
@@ -891,32 +808,12 @@ SessionCheckpoint read_session_checkpoint(std::istream& in) {
     block.cache.insertions = parse_u64(cache_fields[5], "cache insertions");
     block.cache.evictions = parse_u64(cache_fields[6], "cache evictions");
 
-    block.has_telemetry = read_obs_lines(lines, i, end, block.telemetry);
+    block.has_telemetry = read_obs_lines(frame, i, block.telemetry);
 
-    const auto end_fields = util::split(need(i++), ',');
-    if (end_fields.size() != 2 || end_fields[0] != "endsession" ||
-        parse_u64(end_fields[1], "endsession position") != block.position)
-      checkpoint_fail("unterminated session " +
-                      std::to_string(block.position));
+    frame.close(i, "endsession", {block.position});
     checkpoint.sessions.push_back(std::move(block));
   }
   return checkpoint;
-}
-
-// --- Atomic file replacement ---
-
-void replace_file_atomically(const std::string& path,
-                             const std::string& contents) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) checkpoint_fail("cannot open temp file " + tmp);
-    out << contents;
-    out.flush();
-    if (!out) checkpoint_fail("cannot write temp file " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    checkpoint_fail("cannot rename " + tmp + " over " + path);
 }
 
 // --- CLI checkpoint-path resolution ---

@@ -47,9 +47,29 @@ HisparList load_csv(const std::string& path);
 void write_measure_csv(std::ostream& out,
                        const std::vector<SiteObservation>& sites);
 
+// --- Checkpoints ---
+//
+// Four resumable engines share one journal discipline (DESIGN.md §9,
+// "Checkpoint journal"; core/journal.h): a `<tag>,v1,<config digest>`
+// header, blocks appended atomically and flushed, a torn trailing block
+// silently discarded on read, and std::runtime_error on malformed
+// complete records. Doubles are written at precision 17 so every value
+// round-trips exactly — a resumed run must be bit-identical to an
+// uninterrupted one. The formats below differ only in their tag and
+// block layout.
+inline constexpr const char* kCampaignCheckpointTag = "hispar-checkpoint";
+inline constexpr const char* kListBuildCheckpointTag = "hispar-listbuild";
+inline constexpr const char* kVantageCheckpointTag = "hispar-vantage";
+inline constexpr const char* kSessionCheckpointTag = "hispar-session";
+
+// Writes the `<tag>,v1,<config digest>` header line every format opens
+// with.
+void write_checkpoint_header(std::ostream& out, const std::string& tag,
+                             std::uint64_t config_digest);
+
 // --- Campaign checkpoints ---
 //
-// Append-only, line-oriented resume file for MeasurementCampaign::run().
+// Resume file for MeasurementCampaign::run(), at shard granularity.
 // Layout:
 //   hispar-checkpoint,v1,<config digest>
 //   shard,<id>,<n sites>
@@ -68,12 +88,6 @@ void write_measure_csv(std::ostream& out,
 //        the shard's telemetry, so a resumed campaign's metrics/trace
 //        exports stay bit-identical to an uninterrupted run)
 //   endshard,<id>
-// Doubles are written at precision 17 so every value round-trips exactly
-// — a resumed campaign must be bit-identical to an uninterrupted one. A
-// shard block is appended atomically under a lock and flushed, so a
-// killed campaign can tear at most the trailing block; read_checkpoint
-// silently discards an unterminated tail but throws std::runtime_error
-// on malformed complete records.
 struct CampaignCheckpoint {
   std::uint64_t config_digest = 0;
   std::vector<std::size_t> completed_shards;
@@ -88,7 +102,6 @@ struct CampaignCheckpoint {
   std::map<std::size_t, std::vector<net::BreakerSet::Record>> breakers;
 };
 
-void write_checkpoint_header(std::ostream& out, std::uint64_t config_digest);
 void append_checkpoint_shard(std::ostream& out, std::size_t shard,
                              const std::vector<std::size_t>& positions,
                              const std::vector<SiteObservation>& observations,
@@ -99,9 +112,9 @@ CampaignCheckpoint read_checkpoint(std::istream& in);
 
 // --- List-build checkpoints ---
 //
-// The same discipline for ListBuildCampaign::run(), at week granularity
-// (weeks are the unit of completion — a week has a global wave barrier,
-// so partial weeks are never worth checkpointing). Layout:
+// Resume file for ListBuildCampaign::run(), at week granularity (weeks
+// are the unit of completion — a week has a global wave barrier, so
+// partial weeks are never worth checkpointing). Layout:
 //   hispar-listbuild,v1,<config digest>
 //   week,<week>,<n sets>
 //     set,<domain>,<bootstrap rank>,<n urls>
@@ -112,30 +125,27 @@ CampaignCheckpoint read_checkpoint(std::istream& in);
 //     endshardtel,<id>        (one block per shard, ascending)
 //   endweek,<week>
 // The list name is not serialized; the resuming campaign restores it
-// from its own config. Torn trailing blocks (killed build) are silently
-// discarded; malformed complete records throw std::runtime_error.
+// from its own config.
 struct ListBuildCheckpoint {
   std::uint64_t config_digest = 0;
   std::vector<ListBuildWeekRecord> weeks;  // file order
 };
 
-void write_listbuild_checkpoint_header(std::ostream& out,
-                                       std::uint64_t config_digest);
 void append_listbuild_week(std::ostream& out,
                            const ListBuildWeekRecord& record);
 ListBuildCheckpoint read_listbuild_checkpoint(std::istream& in);
 
 // --- Multi-vantage checkpoints ---
 //
-// The same discipline for core::VantageCampaign::run(), at two
-// granularities. The durable unit during a run is one (vantage, shard)
-// cell of the 2-D scheduler — a cell either completed (its shard
-// observations and telemetry are on disk and splice back in) or
-// re-runs from scratch, so a resumed multi-vantage run is bit-identical
-// to an uninterrupted one at any --jobs. Once every cell of every
-// vantage has landed, the campaign compacts the file to whole-vantage
-// blocks — the historical v1 layout, byte-identical to what the
-// sequential engine wrote (tests/test_golden.cpp pins it). Layout:
+// Resume file for core::VantageCampaign::run(), at two granularities.
+// The durable unit during a run is one (vantage, shard) cell of the 2-D
+// scheduler — a cell either completed (its shard observations and
+// telemetry are on disk and splice back in) or re-runs from scratch, so
+// a resumed multi-vantage run is bit-identical to an uninterrupted one
+// at any --jobs. Once every cell of every vantage has landed, the
+// campaign compacts the file to whole-vantage blocks — the historical v1
+// layout, byte-identical to what the sequential engine wrote
+// (tests/test_golden.cpp pins it). Layout:
 //   hispar-vantage,v1,<config digest>
 //   vantage,<id>,<n sites>          (a completed vantage)
 //     site,<position>,...     (exactly the shard-block site records:
@@ -152,8 +162,6 @@ ListBuildCheckpoint read_listbuild_checkpoint(std::istream& in);
 // The digest covers every derived per-vantage campaign config and the
 // list — never jobs or observability — so files written by the
 // sequential engine resume under the 2-D scheduler and vice versa.
-// Torn trailing blocks (killed run) are silently discarded; malformed
-// complete records throw std::runtime_error.
 struct VantageCheckpointBlock {
   std::size_t vantage = 0;
   // (position in list.sets, observation); blocks written by
@@ -180,8 +188,6 @@ struct VantageCheckpoint {
   std::vector<VantageShardBlock> shards;         // file order
 };
 
-void write_vantage_checkpoint_header(std::ostream& out,
-                                     std::uint64_t config_digest);
 void append_vantage_block(std::ostream& out, std::size_t vantage,
                           const std::vector<SiteObservation>& observations,
                           const obs::ShardTelemetry* telemetry = nullptr);
@@ -195,12 +201,12 @@ VantageCheckpoint read_vantage_checkpoint(std::istream& in);
 
 // --- Browsing-session checkpoints ---
 //
-// The same discipline for core::SessionCampaign::run(), at session
-// granularity: one session is one site's landing -> internal replay
-// over private browser-cache/DNS/connection state, so it is also the
-// unit of isolated state and of resume — a session either completed
-// (its observation, cache counters and telemetry are on disk and
-// splice back in) or re-runs from scratch. Layout:
+// Resume file for core::SessionCampaign::run(), at session granularity:
+// one session is one site's landing -> internal replay over private
+// browser-cache/DNS/connection state, so it is also the unit of
+// isolated state and of resume — a session either completed (its
+// observation, cache counters and telemetry are on disk and splice back
+// in) or re-runs from scratch. Layout:
 //   hispar-session,v1,<config digest>
 //   session,<position>
 //     site,<position>,...      (exactly the shard-block site record)
@@ -209,8 +215,6 @@ VantageCheckpoint read_vantage_checkpoint(std::istream& in);
 //     obscounter/obsgauge/obshist/obsspan/obsdropped,...   (optional:
 //          the session's telemetry)
 //   endsession,<position>
-// Torn trailing blocks (killed run) are silently discarded; malformed
-// complete records throw std::runtime_error.
 struct SessionCheckpointBlock {
   std::size_t position = 0;  // index into list.sets
   SiteObservation observation;
@@ -224,26 +228,11 @@ struct SessionCheckpoint {
   std::vector<SessionCheckpointBlock> sessions;  // file order
 };
 
-void write_session_checkpoint_header(std::ostream& out,
-                                     std::uint64_t config_digest);
 void append_session_block(std::ostream& out, std::size_t position,
                           const SiteObservation& observation,
                           const browser::CacheStats& cache,
                           const obs::ShardTelemetry* telemetry = nullptr);
 SessionCheckpoint read_session_checkpoint(std::istream& in);
-
-// --- Atomic file replacement ---
-//
-// Writes `contents` to `path + ".tmp"` and renames it over `path`. The
-// rename is atomic on POSIX, so a kill at any point leaves either the
-// old complete file or the new one — never a truncated mix. Checkpoint
-// engines use this for the resume rewrite (dropping a torn tail) and
-// the final compaction; rewriting in place with std::ios::trunc had a
-// kill window that silently lost blocks that were already durable.
-// Throws std::runtime_error when the temp file cannot be written or
-// renamed; a stale .tmp from an earlier kill is simply overwritten.
-void replace_file_atomically(const std::string& path,
-                             const std::string& contents);
 
 // --- CLI checkpoint-path resolution ---
 //

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "core/analyses.h"
+#include "core/journal.h"
 #include "core/parallel.h"
 #include "core/serialization.h"
 #include "util/rng.h"
@@ -352,54 +351,36 @@ std::vector<SiteObservation> SessionCampaign::run(const HisparList& list) {
   // from scratch, making a resumed campaign bit-identical to an
   // uninterrupted one.
   std::vector<char> session_done(list.sets.size(), 0);
-  std::ofstream checkpoint_out;
-  std::mutex checkpoint_mutex;
-  if (!config_.checkpoint_path.empty()) {
-    const std::uint64_t digest = checkpoint_digest(list);
-    std::ifstream existing(config_.checkpoint_path);
-    if (existing) {
-      SessionCheckpoint checkpoint = read_session_checkpoint(existing);
-      if (checkpoint.config_digest != digest)
-        throw std::runtime_error(
-            "session campaign: checkpoint was written by a different "
-            "campaign (seed/session-len/cache/list changed)");
-      for (auto& block : checkpoint.sessions) {
-        if (block.position >= observations.size()) continue;
-        session_done[block.position] = 1;
-        observations[block.position] = std::move(block.observation);
-        cache_stats_[block.position] = block.cache;
-        if (block.has_telemetry)
-          session_telemetry[block.position] = std::move(block.telemetry);
-      }
-      existing.close();
+  const auto write_session = [&](std::ostream& out, std::size_t position) {
+    append_session_block(out, position, observations[position],
+                         cache_stats_[position],
+                         if_present(session_telemetry[position]));
+  };
+  CheckpointJournal journal("session campaign", kSessionCheckpointTag,
+                            config_.checkpoint_path);
+  if (auto checkpoint = journal.open(
+          read_session_checkpoint, [&] { return checkpoint_digest(list); },
+          "campaign (seed/session-len/cache/list changed)")) {
+    for (auto& block : checkpoint->sessions) {
+      if (block.position >= observations.size()) continue;
+      session_done[block.position] = 1;
+      observations[block.position] = std::move(block.observation);
+      cache_stats_[block.position] = block.cache;
+      if (block.has_telemetry)
+        session_telemetry[block.position] = std::move(block.telemetry);
     }
-    // (Re)write the file from the parsed state: a resume drops the torn
-    // tail a kill may have left, so the file stays cleanly resumable no
-    // matter how many times the campaign is interrupted. Written to a
-    // temp file and renamed over the original — truncating in place
-    // had a kill window that lost already-durable session blocks.
-    std::ostringstream rewritten;
-    write_session_checkpoint_header(rewritten, digest);
-    for (std::size_t position = 0; position < observations.size(); ++position)
-      if (session_done[position])
-        append_session_block(rewritten, position, observations[position],
-                             cache_stats_[position],
-                             session_telemetry[position].empty()
-                                 ? nullptr
-                                 : &session_telemetry[position]);
-    replace_file_atomically(config_.checkpoint_path, rewritten.str());
-    checkpoint_out.open(config_.checkpoint_path, std::ios::app);
-    if (!checkpoint_out)
-      throw std::runtime_error("session campaign: cannot open checkpoint " +
-                               config_.checkpoint_path);
   }
+  journal.rewrite([&](std::ostream& out) {
+    for (std::size_t position = 0; position < observations.size(); ++position)
+      if (session_done[position]) write_session(out, position);
+  });
 
   // Sessions are embarrassingly parallel (no shared mutable state at
   // all); shards only batch the positions a worker picks up. Every
   // session writes to its own list-position slots, so no
-  // synchronization is needed beyond the for_each_shard joins and the
-  // checkpoint file mutex.
-  for_each_shard(shard_count, config_.base.jobs, [&](std::size_t shard) {
+  // synchronization is needed beyond the for_each_unit joins and the
+  // journal's append lock.
+  for_each_unit(shard_count, config_.base.jobs, [&](std::size_t shard) {
     for (std::size_t position : shards[shard]) {
       if (session_done[position]) continue;
       SessionResult result = run_session(list, position);
@@ -407,15 +388,8 @@ std::vector<SiteObservation> SessionCampaign::run(const HisparList& list) {
       cache_stats_[position] = result.cache;
       if (config_.base.observability.enabled)
         session_telemetry[position] = std::move(result.telemetry);
-      if (checkpoint_out.is_open()) {
-        const std::lock_guard<std::mutex> lock(checkpoint_mutex);
-        append_session_block(checkpoint_out, position, observations[position],
-                             cache_stats_[position],
-                             session_telemetry[position].empty()
-                                 ? nullptr
-                                 : &session_telemetry[position]);
-        checkpoint_out.flush();
-      }
+      journal.append(
+          [&](std::ostream& out) { write_session(out, position); });
     }
   });
 

@@ -1,14 +1,13 @@
 #include "core/vantage.h"
 
 #include <algorithm>
-#include <fstream>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "core/analyses.h"
+#include "core/journal.h"
 #include "core/parallel.h"
 #include "core/serialization.h"
 #include "util/rng.h"
@@ -126,68 +125,49 @@ VantageRunResult VantageCampaign::run(const HisparList& list) {
       n, std::vector<obs::ShardTelemetry>(shard_count));
   const auto shards = shard_indices(list, shard_count);
 
-  std::uint64_t digest = 0;
-  std::ofstream checkpoint_out;
-  if (!config_.checkpoint_path.empty()) {
-    digest = checkpoint_digest(list);
-    std::ifstream existing(config_.checkpoint_path);
-    if (existing) {
-      VantageCheckpoint checkpoint = read_vantage_checkpoint(existing);
-      if (checkpoint.config_digest != digest)
-        throw std::runtime_error(
-            "vantage campaign: checkpoint was written by a different "
-            "campaign (seed/profiles/list changed)");
-      for (auto& block : checkpoint.vantages) {
-        if (block.vantage >= n) continue;
-        auto& observations = result.observations[block.vantage];
-        for (auto& [position, observation] : block.observations)
-          if (position < observations.size())
-            observations[position] = std::move(observation);
-        if (block.has_telemetry)
-          vantage_telemetry_[block.vantage] = std::move(block.telemetry);
-        vantage_done[block.vantage] = 1;
-      }
-      for (auto& block : checkpoint.shards) {
-        if (block.vantage >= n || block.shard >= shard_count) continue;
-        if (vantage_done[block.vantage]) continue;
-        auto& observations = result.observations[block.vantage];
-        for (auto& [position, observation] : block.observations)
-          if (position < observations.size())
-            observations[position] = std::move(observation);
-        if (block.has_telemetry)
-          cell_telemetry[block.vantage][block.shard] =
-              std::move(block.telemetry);
-        cell_done[block.vantage][block.shard] = 1;
-      }
-      existing.close();
+  const auto write_vantage = [&](std::ostream& out, std::size_t v) {
+    append_vantage_block(out, v, result.observations[v],
+                         if_present(vantage_telemetry_[v]));
+  };
+  const auto write_cell = [&](std::ostream& out, std::size_t v,
+                              std::size_t s) {
+    append_vantage_shard_block(out, v, s, shards[s], result.observations[v],
+                               if_present(cell_telemetry[v][s]));
+  };
+  const auto splice = [&](std::size_t v, auto& observations) {
+    for (auto& [position, observation] : observations)
+      if (position < list.sets.size())
+        result.observations[v][position] = std::move(observation);
+  };
+  CheckpointJournal journal("vantage campaign", kVantageCheckpointTag,
+                            config_.checkpoint_path);
+  if (auto checkpoint = journal.open(
+          read_vantage_checkpoint, [&] { return checkpoint_digest(list); },
+          "campaign (seed/profiles/list changed)")) {
+    for (auto& block : checkpoint->vantages) {
+      if (block.vantage >= n) continue;
+      splice(block.vantage, block.observations);
+      if (block.has_telemetry)
+        vantage_telemetry_[block.vantage] = std::move(block.telemetry);
+      vantage_done[block.vantage] = 1;
     }
-    // Rewrite the parsed state — dropping any torn tail a killed run
-    // left — through a temp file + atomic rename. Truncating the file
-    // in place had a kill window between the truncation and the
-    // re-append in which every block that was already durable on disk
-    // was silently lost.
-    std::ostringstream rewritten;
-    write_vantage_checkpoint_header(rewritten, digest);
+    for (auto& block : checkpoint->shards) {
+      if (block.vantage >= n || block.shard >= shard_count) continue;
+      if (vantage_done[block.vantage]) continue;
+      splice(block.vantage, block.observations);
+      if (block.has_telemetry)
+        cell_telemetry[block.vantage][block.shard] =
+            std::move(block.telemetry);
+      cell_done[block.vantage][block.shard] = 1;
+    }
+  }
+  journal.rewrite([&](std::ostream& out) {
     for (std::size_t v = 0; v < n; ++v)
-      if (vantage_done[v])
-        append_vantage_block(rewritten, v, result.observations[v],
-                             vantage_telemetry_[v].empty()
-                                 ? nullptr
-                                 : &vantage_telemetry_[v]);
+      if (vantage_done[v]) write_vantage(out, v);
     for (std::size_t v = 0; v < n; ++v)
       for (std::size_t s = 0; s < shard_count; ++s)
-        if (!vantage_done[v] && cell_done[v][s])
-          append_vantage_shard_block(rewritten, v, s, shards[s],
-                                     result.observations[v],
-                                     cell_telemetry[v][s].empty()
-                                         ? nullptr
-                                         : &cell_telemetry[v][s]);
-    replace_file_atomically(config_.checkpoint_path, rewritten.str());
-    checkpoint_out.open(config_.checkpoint_path, std::ios::app);
-    if (!checkpoint_out)
-      throw std::runtime_error("vantage campaign: cannot open checkpoint " +
-                               config_.checkpoint_path);
-  }
+        if (!vantage_done[v] && cell_done[v][s]) write_cell(out, v, s);
+  });
 
   // Build one inner campaign per pending vantage (cheap, deterministic,
   // main thread) and enumerate the pending cells in (vantage, shard)
@@ -206,22 +186,13 @@ VantageRunResult VantageCampaign::run(const HisparList& list) {
       if (!cell_done[v][s]) cells.emplace_back(v, s);
   }
 
-  std::mutex checkpoint_mutex;
   for_each_unit(cells.size(), config_.base.jobs, [&](std::size_t unit) {
     const auto [v, s] = cells[unit];
     MeasurementCampaign::ShardRun cell =
         campaigns[v]->run_one_shard(s, list, shards[s],
                                     result.observations[v]);
     cell_telemetry[v][s] = std::move(cell.telemetry);
-    if (checkpoint_out.is_open()) {
-      const std::lock_guard<std::mutex> lock(checkpoint_mutex);
-      append_vantage_shard_block(checkpoint_out, v, s, shards[s],
-                                 result.observations[v],
-                                 cell_telemetry[v][s].empty()
-                                     ? nullptr
-                                     : &cell_telemetry[v][s]);
-      checkpoint_out.flush();
-    }
+    journal.append([&](std::ostream& out) { write_cell(out, v, s); });
   });
 
   // Fold each pending vantage's cells into its vantage-level telemetry,
@@ -239,21 +210,12 @@ VantageRunResult VantageCampaign::run(const HisparList& list) {
     }
   }
 
-  if (checkpoint_out.is_open()) {
-    // Every cell has landed: compact the file to whole-vantage blocks —
-    // the historical layout, byte-identical to the sequential engine's
-    // final file at any --jobs and any interrupt history. Atomic again:
-    // a kill mid-compaction leaves the complete cell-granular file.
-    checkpoint_out.close();
-    std::ostringstream compacted;
-    write_vantage_checkpoint_header(compacted, digest);
-    for (std::size_t v = 0; v < n; ++v)
-      append_vantage_block(compacted, v, result.observations[v],
-                           vantage_telemetry_[v].empty()
-                               ? nullptr
-                               : &vantage_telemetry_[v]);
-    replace_file_atomically(config_.checkpoint_path, compacted.str());
-  }
+  // Every cell has landed: compact the file to whole-vantage blocks —
+  // the historical layout, byte-identical to the sequential engine's
+  // final file at any --jobs and any interrupt history.
+  journal.compact([&](std::ostream& out) {
+    for (std::size_t v = 0; v < n; ++v) write_vantage(out, v);
+  });
 
   if (config_.base.observability.enabled) {
     if (n == 1) {

@@ -328,7 +328,7 @@ TEST_F(ListBuildTest, CheckpointRoundTripsWeeksExactly) {
   record.telemetry.emplace(0, std::move(telemetry));
 
   std::ostringstream out;
-  core::write_listbuild_checkpoint_header(out, 0xabcdu);
+  core::write_checkpoint_header(out, core::kListBuildCheckpointTag, 0xabcdu);
   core::append_listbuild_week(out, record);
 
   std::istringstream in(out.str());

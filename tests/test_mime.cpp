@@ -22,6 +22,12 @@ struct MimeCase {
   MimeCategory expected;
 };
 
+// Print by value: the default printer dumps the object's bytes, pointer
+// included, so discovered test names would change from run to run.
+void PrintTo(const MimeCase& c, std::ostream* os) {
+  *os << c.type << " -> " << to_string(c.expected);
+}
+
 class Categorize : public ::testing::TestWithParam<MimeCase> {};
 
 TEST_P(Categorize, MapsConcreteTypes) {

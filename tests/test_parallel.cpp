@@ -101,15 +101,15 @@ TEST(ShardIndices, PartitionPreservesOrder) {
 TEST(ForEachShard, RunsEveryShardOnceAtAnyJobCount) {
   for (std::size_t jobs : {0u, 1u, 3u, 16u}) {
     std::vector<std::atomic<int>> counts(11);
-    core::for_each_shard(counts.size(), jobs,
-                         [&](std::size_t shard) { ++counts[shard]; });
+    core::for_each_unit(counts.size(), jobs,
+                        [&](std::size_t shard) { ++counts[shard]; });
     for (const auto& count : counts) EXPECT_EQ(count.load(), 1);
   }
 }
 
 TEST(ForEachShard, RethrowsLowestShardError) {
   try {
-    core::for_each_shard(8, 4, [](std::size_t shard) {
+    core::for_each_unit(8, 4, [](std::size_t shard) {
       if (shard % 2 == 1)
         throw std::runtime_error("shard " + std::to_string(shard));
     });

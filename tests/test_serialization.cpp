@@ -154,7 +154,7 @@ std::string checkpoint_with(const std::vector<std::size_t>& positions,
                             const std::vector<SiteObservation>& observations,
                             std::uint64_t digest = 42) {
   std::ostringstream os;
-  write_checkpoint_header(os, digest);
+  write_checkpoint_header(os, kCampaignCheckpointTag, digest);
   append_checkpoint_shard(os, 0, positions, observations);
   return os.str();
 }

@@ -62,6 +62,12 @@ struct GlobCase {
   bool expected;
 };
 
+// Print by value: the default printer dumps the object's bytes, pointers
+// included, so discovered test names would change from run to run.
+void PrintTo(const GlobCase& c, std::ostream* os) {
+  *os << c.pattern << " ~ " << c.text;
+}
+
 class GlobMatch : public ::testing::TestWithParam<GlobCase> {};
 
 TEST_P(GlobMatch, MatchesExpected) {

@@ -53,6 +53,12 @@ struct DomainCase {
   const char* expected;
 };
 
+// Print by value: the default printer dumps the object's bytes, pointers
+// included, so discovered test names would change from run to run.
+void PrintTo(const DomainCase& c, std::ostream* os) {
+  *os << c.host << " -> " << c.expected;
+}
+
 class RegistrableDomain : public ::testing::TestWithParam<DomainCase> {};
 
 TEST_P(RegistrableDomain, ExtractsSld) {

@@ -18,6 +18,7 @@
 
 #include "core/analyses.h"
 #include "core/hispar.h"
+#include "core/journal.h"
 #include "core/measurement.h"
 #include "core/parallel.h"
 #include "core/serialization.h"
@@ -334,7 +335,8 @@ TEST(VantageCheckpoint, RoundTripsBlocksAndTelemetry) {
   telemetry.spans_dropped = 3;
 
   std::ostringstream out;
-  core::write_vantage_checkpoint_header(out, 0xabcdefull);
+  core::write_checkpoint_header(out, core::kVantageCheckpointTag,
+                                0xabcdefull);
   core::append_vantage_block(out, 0, {site}, &telemetry);
   core::append_vantage_block(out, 1, {site}, nullptr);
 
@@ -356,7 +358,8 @@ TEST(VantageCheckpoint, RoundTripsBlocksAndTelemetry) {
   // Re-serializing the parsed state reproduces the original bytes —
   // the property resume depends on.
   std::ostringstream again;
-  core::write_vantage_checkpoint_header(again, checkpoint.config_digest);
+  core::write_checkpoint_header(again, core::kVantageCheckpointTag,
+                                checkpoint.config_digest);
   for (const auto& block : checkpoint.vantages) {
     std::vector<core::SiteObservation> observations;
     for (const auto& [position, observation] : block.observations)
@@ -371,7 +374,7 @@ TEST(VantageCheckpoint, RoundTripsBlocksAndTelemetry) {
 TEST(VantageCheckpoint, TornTailIsDiscarded) {
   const core::SiteObservation site = make_site("a.com", 15.0, {10.0});
   std::ostringstream out;
-  core::write_vantage_checkpoint_header(out, 1);
+  core::write_checkpoint_header(out, core::kVantageCheckpointTag, 1);
   core::append_vantage_block(out, 0, {site}, nullptr);
   std::string bytes = out.str();
   // Simulate a kill mid-append: a second block with its tail cut off.
@@ -598,7 +601,7 @@ TEST(VantageCheckpoint, VshardBlocksRoundTripAlongsideVantageBlocks) {
   telemetry.metrics.counter("fetches") = 4;
 
   std::ostringstream out;
-  core::write_vantage_checkpoint_header(out, 0x1234ull);
+  core::write_checkpoint_header(out, core::kVantageCheckpointTag, 0x1234ull);
   core::append_vantage_block(out, 0, observations, nullptr);
   core::append_vantage_shard_block(out, 1, 2, {1}, observations, &telemetry);
   core::append_vantage_shard_block(out, 1, 3, {0}, observations, nullptr);
@@ -651,7 +654,9 @@ TEST(ReplaceFileAtomically, KillBeforeRenameLeavesTheOriginalIntact) {
   original.close();
 
   // The next rewrite overwrites the stale temp and lands atomically.
-  core::replace_file_atomically(path, "rewritten\n");
+  core::replace_file_atomically(
+      "vantage campaign", path,
+      [](std::ostream& out) { out << "rewritten\n"; });
   std::ifstream rewritten(path);
   ASSERT_TRUE(std::getline(rewritten, line));
   EXPECT_EQ(line, "rewritten");
@@ -708,8 +713,8 @@ TEST_F(VantageCampaignTest, CellGranularCheckpointResumesByteIdentically) {
   std::vector<core::SiteObservation> observations(list_.sets.size());
   {
     std::ofstream out(path);
-    core::write_vantage_checkpoint_header(out,
-                                          campaign.checkpoint_digest(list_));
+    core::write_checkpoint_header(out, core::kVantageCheckpointTag,
+                                  campaign.checkpoint_digest(list_));
     for (std::size_t s = 0; s < 2; ++s) {
       const auto cell = inner.run_one_shard(s, list_, shards[s], observations);
       core::append_vantage_shard_block(

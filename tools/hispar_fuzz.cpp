@@ -123,7 +123,8 @@ hispar::core::HisparList seed_list() {
 
 std::string seed_measure_checkpoint() {
   std::ostringstream out;
-  hispar::core::write_checkpoint_header(out, 42);
+  hispar::core::write_checkpoint_header(
+      out, hispar::core::kCampaignCheckpointTag, 42);
   const std::vector<hispar::core::SiteObservation> observations = {
       seed_observation(0), seed_observation(1)};
   hispar::core::append_checkpoint_shard(out, 0, {0, 1}, observations);
@@ -132,7 +133,8 @@ std::string seed_measure_checkpoint() {
 
 std::string seed_listbuild_checkpoint() {
   std::ostringstream out;
-  hispar::core::write_listbuild_checkpoint_header(out, 42);
+  hispar::core::write_checkpoint_header(
+      out, hispar::core::kListBuildCheckpointTag, 42);
   hispar::core::ListBuildWeekRecord record;
   record.week = 0;
   record.list = seed_list();
@@ -146,7 +148,8 @@ std::string seed_listbuild_checkpoint() {
 
 std::string seed_vantage_checkpoint() {
   std::ostringstream out;
-  hispar::core::write_vantage_checkpoint_header(out, 42);
+  hispar::core::write_checkpoint_header(
+      out, hispar::core::kVantageCheckpointTag, 42);
   const std::vector<hispar::core::SiteObservation> observations = {
       seed_observation(0), seed_observation(1)};
   hispar::core::append_vantage_block(out, 0, observations);
@@ -155,7 +158,8 @@ std::string seed_vantage_checkpoint() {
 
 std::string seed_session_checkpoint() {
   std::ostringstream out;
-  hispar::core::write_session_checkpoint_header(out, 42);
+  hispar::core::write_checkpoint_header(
+      out, hispar::core::kSessionCheckpointTag, 42);
   hispar::browser::CacheStats cache;
   cache.lookups = 10;
   cache.fresh_hits = 4;
