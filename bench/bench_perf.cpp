@@ -1,5 +1,6 @@
 // Component micro-benchmarks (google-benchmark): page generation, page
-// loading, crawling, list building, the ad-block matcher and KS test.
+// loading, crawling, list building, the ad-block and header-bidding
+// matchers and the KS test.
 // These guard the simulator's throughput — a full H1K campaign is ~29k
 // page loads and must stay in the tens of seconds.
 //
@@ -15,6 +16,7 @@
 #include "common.h"
 
 #include "browser/adblock.h"
+#include "browser/hb_detect.h"
 #include "browser/loader.h"
 #include "core/hispar.h"
 #include "search/crawler.h"
@@ -75,13 +77,30 @@ void BM_SiteQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_SiteQuery);
 
-void BM_AdblockMatch(benchmark::State& state) {
+// The §6.3 filter lists on one URL each. `tracker` matches partway
+// through the URL; `first_party` matches nothing, the common case on a
+// HAR, so it pays for a scan of the whole URL.
+constexpr const char* kTrackerUrl =
+    "https://securepubads.g.doubleclick.net/track/123-4";
+constexpr const char* kFirstPartyUrl =
+    "https://www.example.com/static/js/app.bundle.min.js?v=20200101";
+
+void BM_AdblockMatch(benchmark::State& state, const char* url) {
   const auto blocker = browser::AdBlocker::easylist_lite();
-  const std::string url =
-      "https://securepubads.g.doubleclick.net/track/123-4";
-  for (auto _ : state) benchmark::DoNotOptimize(blocker.matches(url));
+  const std::string text = url;
+  for (auto _ : state) benchmark::DoNotOptimize(blocker.matches(text));
 }
-BENCHMARK(BM_AdblockMatch);
+BENCHMARK_CAPTURE(BM_AdblockMatch, tracker, kTrackerUrl);
+BENCHMARK_CAPTURE(BM_AdblockMatch, first_party, kFirstPartyUrl);
+
+void BM_HbClassify(benchmark::State& state, const char* url) {
+  const auto detector = browser::HbDetector::standard();
+  const std::string text = url;
+  for (auto _ : state) benchmark::DoNotOptimize(detector.classify_url(text));
+}
+BENCHMARK_CAPTURE(BM_HbClassify, exchange,
+                  "https://ib.adnxs.com/ut/v3/prebid");
+BENCHMARK_CAPTURE(BM_HbClassify, first_party, kFirstPartyUrl);
 
 void BM_KsTest(benchmark::State& state) {
   util::Rng rng(3);

@@ -1,14 +1,16 @@
 #include "browser/adblock.h"
 
-#include "util/strings.h"
-
 namespace hispar::browser {
 
 AdBlocker AdBlocker::easylist_lite() {
-  // Pattern syntax: plain globs over the full URL. The list mirrors the
-  // structure of EasyList: well-known tracker/ad hosts plus generic
-  // path/subdomain rules.
-  return AdBlocker({
+  return AdBlocker(easylist_lite_patterns());
+}
+
+std::vector<std::string> AdBlocker::easylist_lite_patterns() {
+  // Pattern syntax: `*literal*` globs over the full URL. The list
+  // mirrors the structure of EasyList: well-known tracker/ad hosts plus
+  // generic path/subdomain rules.
+  return {
       // Curated head services (see web/thirdparty.cpp).
       "*google-analytics.com*",
       "*googletagmanager.com*",
@@ -36,16 +38,14 @@ AdBlocker AdBlocker::easylist_lite() {
       "*://bid.*",
       "*://metrics.*",
       "*/track/*",
-  });
+  };
 }
 
 AdBlocker::AdBlocker(std::vector<std::string> patterns)
-    : patterns_(std::move(patterns)) {}
+    : literals_(patterns) {}
 
 bool AdBlocker::matches(std::string_view url) const {
-  for (const auto& pattern : patterns_)
-    if (util::glob_match(pattern, url)) return true;
-  return false;
+  return literals_.any(url);
 }
 
 std::size_t AdBlocker::count_blocked(const HarLog& log) const {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "browser/har.h"
+#include "util/literal_set.h"
 
 namespace hispar::browser {
 
@@ -23,7 +24,11 @@ class AdBlocker {
   // the curated third-party head plus the synthetic tail's naming
   // conventions (pixel./ads./bid./metrics. hosts, /track/ paths).
   static AdBlocker easylist_lite();
+  // The `*literal*` patterns easylist_lite() compiles.
+  static std::vector<std::string> easylist_lite_patterns();
 
+  // Every pattern must have the form `*literal*` ("the URL contains
+  // literal"); any other shape throws std::invalid_argument.
   explicit AdBlocker(std::vector<std::string> patterns);
 
   // True if a request to `url` would be blocked.
@@ -33,10 +38,10 @@ class AdBlocker {
   // "tracking requests" count).
   std::size_t count_blocked(const HarLog& log) const;
 
-  std::size_t pattern_count() const { return patterns_.size(); }
+  std::size_t pattern_count() const { return literals_.size(); }
 
  private:
-  std::vector<std::string> patterns_;  // glob patterns over full URLs
+  util::LiteralSet literals_;  // the `*literal*` patterns, compiled
 };
 
 }  // namespace hispar::browser

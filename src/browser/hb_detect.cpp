@@ -2,49 +2,39 @@
 
 #include <set>
 
-#include "util/strings.h"
-
 namespace hispar::browser {
 
 HbDetector HbDetector::standard() {
-  return HbDetector(
-      {
-          // Known header-bidding exchanges (prebid adapters).
-          "*ib.adnxs.com*",
-          "*casalemedia.com*",
-          "*hbopenbid.pubmatic.com*",
-          "*fastlane.rubiconproject.com*",
-          "*c.amazon-adsystem.com*",
-          "*://bid.*",
-      },
-      {
-          "*doubleclick.net*",
-          "*criteo.net*",
-          "*://ads.*",
-      });
+  return HbDetector(standard_exchange_patterns(),
+                    standard_ad_network_patterns());
+}
+
+std::vector<std::string> HbDetector::standard_exchange_patterns() {
+  return {
+      // Known header-bidding exchanges (prebid adapters).
+      "*ib.adnxs.com*",
+      "*casalemedia.com*",
+      "*hbopenbid.pubmatic.com*",
+      "*fastlane.rubiconproject.com*",
+      "*c.amazon-adsystem.com*",
+      "*://bid.*",
+  };
+}
+
+std::vector<std::string> HbDetector::standard_ad_network_patterns() {
+  return {
+      "*doubleclick.net*",
+      "*criteo.net*",
+      "*://ads.*",
+  };
 }
 
 HbDetector::HbDetector(std::vector<std::string> exchange_patterns,
                        std::vector<std::string> ad_network_patterns)
-    : exchange_patterns_(std::move(exchange_patterns)),
-      ad_network_patterns_(std::move(ad_network_patterns)) {}
+    : exchanges_(exchange_patterns), ad_networks_(ad_network_patterns) {}
 
 std::pair<bool, bool> HbDetector::classify_url(std::string_view url) const {
-  bool exchange = false;
-  for (const auto& pattern : exchange_patterns_) {
-    if (util::glob_match(pattern, url)) {
-      exchange = true;
-      break;
-    }
-  }
-  bool creative = false;
-  for (const auto& pattern : ad_network_patterns_) {
-    if (util::glob_match(pattern, url)) {
-      creative = true;
-      break;
-    }
-  }
-  return {exchange, creative};
+  return {exchanges_.any(url), ad_networks_.any(url)};
 }
 
 HbResult HbDetector::analyze(const HarLog& log) const {

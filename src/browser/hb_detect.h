@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "browser/har.h"
+#include "util/literal_set.h"
 
 namespace hispar::browser {
 
@@ -27,22 +28,27 @@ struct HbResult {
 class HbDetector {
  public:
   static HbDetector standard();
+  // The `*literal*` lists standard() compiles: known header-bidding
+  // exchanges, and ad networks serving the creatives.
+  static std::vector<std::string> standard_exchange_patterns();
+  static std::vector<std::string> standard_ad_network_patterns();
 
+  // Both lists take `*literal*` patterns only (see AdBlocker).
   explicit HbDetector(std::vector<std::string> exchange_patterns,
                       std::vector<std::string> ad_network_patterns);
 
   HbResult analyze(const HarLog& log) const;
 
   // Per-URL classification analyze() is built from: {matches an
-  // exchange pattern, matches an ad-network pattern}. Exposed so
-  // callers that see the same URL many times can memoize the pattern
-  // scan (the globs dominate campaign CPU) and replicate analyze()'s
-  // distinct-host / distinct-URL aggregation themselves.
+  // exchange pattern, matches an ad-network pattern}: one LiteralSet
+  // pass per list. Exposed so callers that see the same URL many times
+  // can memoize the verdict and replicate analyze()'s distinct-host /
+  // distinct-URL aggregation themselves.
   std::pair<bool, bool> classify_url(std::string_view url) const;
 
  private:
-  std::vector<std::string> exchange_patterns_;
-  std::vector<std::string> ad_network_patterns_;
+  util::LiteralSet exchanges_;
+  util::LiteralSet ad_networks_;
 };
 
 }  // namespace hispar::browser

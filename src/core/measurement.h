@@ -198,13 +198,14 @@ struct CampaignConfig {
 };
 
 // Memoization tables for the HAR detectors (CDN classification,
-// EasyList matching, HB patterns, registrable domains). Profiling a
-// campaign shows the glob scans dominating its CPU (~75 pattern walks
-// per HAR entry); every detector is a pure function of the fields the
-// memo key captures, so replaying a cached verdict is result-identical
-// to re-running the scan. Tables live per worker — like the resolver
-// cache — and their size is bounded by the worker's distinct
-// URLs/hosts/header tuples.
+// EasyList matching, HB patterns, registrable domains). Every detector
+// is a pure function of the fields the memo key captures, so replaying
+// a cached verdict is result-identical to re-running it. A URL memo
+// miss costs three util::LiteralSet passes over the URL (tracker list,
+// HB exchanges, HB creatives); a fetch memo miss runs the CDN
+// detector's glob_match host/CNAME patterns. Tables live per worker —
+// like the resolver cache — and their size is bounded by the worker's
+// distinct URLs/hosts/header tuples.
 struct DetectionScratch {
   // (host, CNAME, headers) tuple -> CdnDetector::classify().via_cdn.
   // Keys are built in `key_buf` (reused) as newline-joined fields; a

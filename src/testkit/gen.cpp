@@ -26,6 +26,16 @@ constexpr const char* kSearchFaultKeys[] = {
     "query_timeout", "empty_page", "quota_exceeded", "rate_limited"};
 constexpr const char* kDnsKinds[] = {"dns_servfail", "dns_timeout"};
 constexpr const char* kRegions[] = {"na", "eu", "as", "sa", "oc"};
+// Few distinct bytes, so generated literals overlap and recur in
+// generated texts; NUL and high bytes exercise unsigned indexing.
+constexpr char kFilterBytes[] = {'a', 'b', 'c', '.', '/',    ':',
+                                 '-', 'x', '\0', '\x80', '\xff'};
+
+std::string filter_bytes(Gen& gen, std::size_t n) {
+  std::string out;
+  for (std::size_t i = 0; i < n; ++i) out += gen.pick(kFilterBytes);
+  return out;
+}
 
 template <std::size_t N>
 std::string keyed_rate_spec(Gen& gen, const char* const (&keys)[N]) {
@@ -178,6 +188,57 @@ core::SessionConfig gen_session_config(Gen& gen) {
       gen.chance(0.2) ? 50'000 + gen.index(200'000) : 50'000'000;
   config.warm = gen.chance(0.85);
   return config;
+}
+
+std::vector<std::string> gen_literal_patterns(Gen& gen) {
+  const std::size_t max_len = 2 + static_cast<std::size_t>(gen.size()) / 10;
+  const std::size_t count = 1 + gen.index(2 + gen.size() / 5);
+  std::vector<std::string> literals;
+  while (literals.size() < count) {
+    if (literals.empty() || gen.chance(0.5)) {
+      literals.push_back(filter_bytes(gen, 1 + gen.index(max_len)));
+      continue;
+    }
+    // Derive from an earlier literal: its prefix, an extension of it,
+    // or its tail plus a byte (ab -> a, abc, bc).
+    const std::string base = literals[gen.index(literals.size())];
+    switch (gen.index(3)) {
+      case 0:
+        literals.push_back(base.substr(0, 1 + gen.index(base.size())));
+        break;
+      case 1:
+        literals.push_back(base + filter_bytes(gen, 1));
+        break;
+      default:
+        literals.push_back(base.substr(gen.index(base.size())) +
+                           filter_bytes(gen, 1));
+        break;
+    }
+  }
+  std::vector<std::string> patterns;
+  for (const std::string& literal : literals)
+    patterns.push_back("*" + literal + "*");
+  return patterns;
+}
+
+std::string gen_filter_text(Gen& gen,
+                            const std::vector<std::string>& patterns) {
+  std::string text = gen.chance(0.5) ? "https://" : "http://";
+  text += filter_bytes(gen, gen.index(8)) + ".com/" +
+          filter_bytes(gen, gen.index(4 + gen.size() / 2));
+  if (patterns.empty() || gen.chance(0.3)) return text;
+  const std::string& pattern = patterns[gen.index(patterns.size())];
+  std::string literal = pattern.substr(1, pattern.size() - 2);
+  if (gen.chance(0.3))  // near miss: last byte changed
+    literal.back() = gen.pick(kFilterBytes);
+  switch (gen.index(3)) {
+    case 0:
+      return literal + text;
+    case 1:
+      return text + literal;
+    default:
+      return text.insert(gen.index(text.size() + 1), literal);
+  }
 }
 
 std::string gen_bytes(Gen& gen, std::size_t n) {

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/list_build.h"
 #include "core/measurement.h"
@@ -77,6 +78,18 @@ std::string gen_chaos_spec(Gen& gen);
 std::string gen_vantage_spec(Gen& gen);
 // Semicolon-joined list of 1..3 vantage profiles.
 std::string gen_vantage_list_spec(Gen& gen);
+
+// --- Filter-list generators (util::LiteralSet vs util::glob_match) ---
+
+// 1..(2 + size/5) `*L*` patterns over a small alphabet, so literals
+// collide often: one-byte literals, literals that share a prefix or
+// overlap (ab / abc / bc), and the bytes NUL, 0x80 and 0xff.
+std::vector<std::string> gen_literal_patterns(Gen& gen);
+// A URL-like text over the same alphabet. Often one literal of
+// `patterns` (or a one-byte-off near miss) is planted at offset 0, at
+// the very end, or in the middle.
+std::string gen_filter_text(Gen& gen,
+                            const std::vector<std::string>& patterns);
 
 // --- Engine-config generators ---
 // jobs / checkpoint_path / observability are left at their defaults:

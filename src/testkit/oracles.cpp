@@ -14,6 +14,7 @@
 #include "net/outage.h"
 #include "net/vantage_profile.h"
 #include "obs/trace.h"
+#include "util/literal_set.h"
 #include "util/strings.h"
 
 namespace hispar::testkit {
@@ -317,6 +318,47 @@ std::optional<std::string> check_vantage_roundtrip(const std::string& spec) {
   return roundtrip("vantage profile", spec, [](const std::string& s) {
     return net::VantageProfile::parse(s).str();
   });
+}
+
+namespace {
+
+// Bytes outside printable ASCII as \xNN, so a failing pattern or text
+// with NUL or high bytes prints legibly and replays exactly.
+std::string escaped(std::string_view bytes) {
+  std::string out;
+  for (const char c : bytes) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte >= 0x20 && byte < 0x7f && byte != '\\') {
+      out += c;
+      continue;
+    }
+    char buf[8];
+    std::snprintf(buf, sizeof buf, "\\x%02x", byte);
+    out += buf;
+  }
+  return out;
+}
+
+}  // namespace
+
+std::optional<std::string> check_literal_set_matches_glob(
+    const std::vector<std::string>& patterns,
+    const std::vector<std::string>& texts) {
+  const util::LiteralSet set(patterns);
+  for (const std::string& text : texts) {
+    const bool reference =
+        std::any_of(patterns.begin(), patterns.end(),
+                    [&](const std::string& p) {
+                      return util::glob_match(p, text);
+                    });
+    if (set.any(text) == reference) continue;
+    std::string list;
+    for (const std::string& p : patterns) list += " '" + escaped(p) + "'";
+    return "LiteralSet says " + std::string(reference ? "no" : "yes") +
+           ", glob_match says " + (reference ? "yes" : "no") + " for text '" +
+           escaped(text) + "' over patterns" + list;
+  }
+  return std::nullopt;
 }
 
 // --- Reference-model oracles ---

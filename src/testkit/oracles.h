@@ -17,6 +17,8 @@
 //    measurement byte (feature-off ⇒ bytes untouched);
 //  * grammar round-trip — parse/str is a fixpoint for the fault,
 //    search-fault, chaos and vantage spec grammars;
+//  * literal set       — util::LiteralSet agrees with util::glob_match,
+//    its reference, on every text;
 //  * model oracles     — HttpCache, cdn::LruCache and CircuitBreaker
 //    agree with simple reference models over generated op sequences.
 //
@@ -30,6 +32,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/hispar.h"
 #include "core/list_build.h"
@@ -134,6 +137,14 @@ std::optional<std::string> check_search_fault_roundtrip(
     const std::string& spec);
 std::optional<std::string> check_chaos_roundtrip(const std::string& spec);
 std::optional<std::string> check_vantage_roundtrip(const std::string& spec);
+
+// --- Compiled filter-list oracle ---
+// LiteralSet(patterns).any(t) must equal "some pattern p has
+// glob_match(p, t)" for every t in `texts`. `patterns` must be of the
+// `*literal*` shape (the LiteralSet constructor throws otherwise).
+std::optional<std::string> check_literal_set_matches_glob(
+    const std::vector<std::string>& patterns,
+    const std::vector<std::string>& texts);
 
 // --- Reference-model state-machine oracles ---
 // Drive the real component and a simple map/vector model with one

@@ -48,13 +48,15 @@ bool glob_match(std::string_view pattern, std::string_view text) {
   std::size_t p = 0, t = 0;
   std::size_t star = std::string_view::npos, match = 0;
   while (t < text.size()) {
-    if (p < pattern.size() &&
-        (pattern[p] == '?' || pattern[p] == text[t])) {
-      ++p;
-      ++t;
-    } else if (p < pattern.size() && pattern[p] == '*') {
+    // A pattern '*' is always a wildcard, even against a literal '*'
+    // in the text.
+    if (p < pattern.size() && pattern[p] == '*') {
       star = p++;
       match = t;
+    } else if (p < pattern.size() &&
+               (pattern[p] == '?' || pattern[p] == text[t])) {
+      ++p;
+      ++t;
     } else if (star != std::string_view::npos) {
       p = star + 1;
       t = ++match;

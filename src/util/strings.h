@@ -13,8 +13,9 @@ std::string lower(std::string_view s);
 bool contains_ci(std::string_view haystack, std::string_view needle);
 
 // Simple glob match supporting '*' (any run, including empty) and '?'
-// (any single char). Used by the EasyList-style ad-block matcher and the
-// CDN host-pattern heuristics.
+// (any single char). Used by the CDN host-pattern heuristics; also the
+// reference util::LiteralSet (the compiled tracker and header-bidding
+// lists) is tested against.
 bool glob_match(std::string_view pattern, std::string_view text);
 
 // "1234567" -> "1,234,567" for table output.

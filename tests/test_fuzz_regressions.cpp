@@ -20,6 +20,8 @@
 #include "net/outage.h"
 #include "net/vantage_profile.h"
 #include "obs/json.h"
+#include "util/literal_set.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -134,6 +136,18 @@ TEST(FuzzRegressionTest, TornTailStillDiscardsSilently) {
   const auto checkpoint = read_checkpoint(torn);
   EXPECT_EQ(checkpoint.config_digest, 42u);
   EXPECT_TRUE(checkpoint.completed_shards.empty());
+}
+
+// Find (`literals` target, minimized to "*m*\n**m"): the reference
+// glob_match took a pattern '*' facing a literal '*' in the text as a
+// one-character literal match and then failed, so "*m*" did not match
+// "**m" although the text contains "m". The compiled LiteralSet was
+// right; glob_match now tries the wildcard first.
+TEST(FuzzRegressionTest, GlobStarAgainstLiteralStarInText) {
+  EXPECT_TRUE(hispar::util::glob_match("*m*", "**m"));
+  EXPECT_TRUE(hispar::util::LiteralSet({"*m*"}).any("**m"));
+  EXPECT_TRUE(hispar::util::glob_match(
+      "*ib.adnxs.com*", "*c.amazon-adsystem.cttps://ib.adnxs.com/ut"));
 }
 
 }  // namespace

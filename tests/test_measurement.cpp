@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -508,6 +509,64 @@ TEST_F(CheckpointTest, MismatchedConfigIsRejected) {
   const auto resumed = third.run(list);
   EXPECT_EQ(resumed.size(), list.sets.size());
   std::remove(path.c_str());
+}
+
+// extract_page_metrics hand-copies the §6.3 aggregation over memoized
+// per-URL verdicts; it must agree with the reference detectors run on
+// the same HAR, whether the scratch memo is fresh or already warm.
+TEST_F(MeasurementTest, DetectionMatchesReferenceDetectors) {
+  net::LatencyModel latency;
+  cdn::CdnHierarchy cdn(web_.cdn_registry(), latency);
+  net::CachingResolver resolver({"local", 1, 6.0, net::Region::kNorthAmerica,
+                                 1.0},
+                                latency);
+  browser::LoaderEnv env;
+  env.latency = &latency;
+  env.registry = &web_.cdn_registry();
+  env.cdn = &cdn;
+  env.resolver = &resolver;
+  browser::PageLoader loader(env);
+  const auto adblock = browser::AdBlocker::easylist_lite();
+  const auto hb = browser::HbDetector::standard();
+  const cdn::CdnDetector detector(web_.cdn_registry());
+
+  core::DetectionScratch warm;
+  std::uint64_t seed = 1;
+  double tracking = 0.0, slots = 0.0;
+  std::size_t hb_pages = 0;
+  for (std::size_t rank = 1; rank <= 50; ++rank) {
+    const auto& site = web_.site_by_rank(rank);
+    std::vector<std::size_t> indices = {0, 0, 0};  // landing, repeated
+    for (std::size_t i = 1; i <= std::min<std::size_t>(
+                                    4, site.internal_page_count());
+         ++i)
+      indices.push_back(i);
+    for (const std::size_t index : indices) {
+      const auto page = site.page(index);
+      const auto result = loader.load(page, util::Rng(seed++));
+      const std::size_t blocked = adblock.count_blocked(result.har);
+      const browser::HbResult reference = hb.analyze(result.har);
+      core::DetectionScratch fresh;
+      for (core::DetectionScratch* scratch : {&fresh, &warm}) {
+        const PageMetrics m = core::extract_page_metrics(
+            page, result, *scratch, adblock, hb, detector, 64, nullptr);
+        EXPECT_EQ(m.tracking_requests, static_cast<double>(blocked))
+            << page.url.str();
+        EXPECT_EQ(m.header_bidding, reference.header_bidding)
+            << page.url.str();
+        EXPECT_EQ(m.hb_ad_slots, static_cast<double>(reference.ad_slots))
+            << page.url.str();
+      }
+      tracking += static_cast<double>(blocked);
+      slots += static_cast<double>(reference.ad_slots);
+      hb_pages += reference.header_bidding ? 1 : 0;
+    }
+  }
+  // The sample must exercise every verdict, or the comparison is vacuous.
+  EXPECT_GT(tracking, 0.0);
+  EXPECT_GT(slots, 0.0);
+  EXPECT_GT(hb_pages, 0u);
+  EXPECT_GT(warm.urls.size(), 0u);
 }
 
 TEST_F(MeasurementTest, TrackerDetectionAgreesWithGroundTruthDirection) {

@@ -13,10 +13,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "browser/adblock.h"
+#include "browser/hb_detect.h"
 #include "net/vantage_profile.h"
 #include "testkit/property.h"
 
@@ -255,6 +262,55 @@ TEST(PropertySuite, VantageGrammarRoundTrip) {
                [](Gen& gen) -> std::optional<std::string> {
                  return hispar::testkit::check_vantage_roundtrip(
                      hispar::testkit::gen_vantage_spec(gen));
+               });
+}
+
+// --- Compiled filter lists vs the glob reference ---
+
+// Every URL in the committed fuzz corpus (tokens holding "://", split
+// on newlines and commas): the list seeds' URLs plus the literals
+// target's, texts the generators would not produce. Sorted, because
+// directory order is unspecified.
+std::vector<std::string> corpus_urls() {
+  std::vector<std::string> urls;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(HISPAR_FUZZ_CORPUS_DIR)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    std::string token;
+    for (const char c : bytes.str() + "\n") {
+      if (c != '\n' && c != ',') {
+        token += c;
+        continue;
+      }
+      if (token.find("://") != std::string::npos) urls.push_back(token);
+      token.clear();
+    }
+  }
+  std::sort(urls.begin(), urls.end());
+  return urls;
+}
+
+TEST(PropertySuite, LiteralSetMatchesGlob) {
+  const std::vector<std::string> urls = corpus_urls();
+  ASSERT_GT(urls.size(), 10u);
+  const std::vector<std::string> bundled[] = {
+      hispar::browser::AdBlocker::easylist_lite_patterns(),
+      hispar::browser::HbDetector::standard_exchange_patterns(),
+      hispar::browser::HbDetector::standard_ad_network_patterns()};
+  expect_holds("literal-set-vs-glob", 400,
+               [&](Gen& gen) -> std::optional<std::string> {
+                 const std::vector<std::string> patterns =
+                     gen.chance(0.25)
+                         ? gen.pick(bundled)
+                         : hispar::testkit::gen_literal_patterns(gen);
+                 std::vector<std::string> texts = urls;
+                 for (int i = 0; i < 16; ++i)
+                   texts.push_back(
+                       hispar::testkit::gen_filter_text(gen, patterns));
+                 return hispar::testkit::check_literal_set_matches_glob(
+                     patterns, texts);
                });
 }
 

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "util/intern.h"
+#include "util/literal_set.h"
 
 namespace {
 
@@ -92,7 +94,63 @@ INSTANTIATE_TEST_SUITE_P(
                  true},
         GlobCase{"*://ads.*", "https://ads.thirdparty4.com/lib/2", true},
         GlobCase{"*://ads.*", "https://www.ads-site.com/", false},
-        GlobCase{"a*b*c", "aXbYc", true}, GlobCase{"a*b*c", "acb", false}));
+        GlobCase{"a*b*c", "aXbYc", true}, GlobCase{"a*b*c", "acb", false},
+        // A pattern '*' stays a wildcard against a literal '*' in text.
+        GlobCase{"*m*", "**m", true}, GlobCase{"a*c", "a*xc", true}));
+
+// LiteralSet compiles only `*literal*` globs; every other shape is
+// refused by name rather than silently matched differently.
+class LiteralSetRejects : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(LiteralSetRejects, NamesThePattern) {
+  const std::string bad = GetParam();
+  try {
+    LiteralSet({"*ok*", bad});
+    FAIL() << "accepted '" << bad << "'";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("'" + bad + "'"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, LiteralSetRejects,
+                         ::testing::Values("", "*", "**", "a*", "*a",
+                                           "*a*b*", "*a?b*"));
+
+TEST(LiteralSet, MatchesAnywhereIncludingBothEnds) {
+  const LiteralSet set({"*://ads.*", "*/track/*", "*q*"});
+  EXPECT_EQ(set.size(), 3u);
+  EXPECT_TRUE(set.any("https://ads.example.com/"));
+  EXPECT_TRUE(set.any("/track/ at the start"));
+  EXPECT_TRUE(set.any("at the end /track/"));
+  EXPECT_TRUE(set.any("q"));
+  EXPECT_FALSE(set.any("https://www.ads-site.com/tracker"));
+  EXPECT_FALSE(set.any(""));
+}
+
+TEST(LiteralSet, SharedKeysAndOverlapsAllChecked) {
+  // "ab", "abc" and "abd" share the key "ab"; "bc" overlaps "abc".
+  const LiteralSet set({"*abc*", "*abd*", "*bc*"});
+  EXPECT_TRUE(set.any("xxabdxx"));
+  EXPECT_TRUE(set.any("xbcx"));
+  EXPECT_FALSE(set.any("ab"));
+  EXPECT_FALSE(set.any("abxbxc"));
+}
+
+TEST(LiteralSet, HighBytesAndNulIndexAsUnsigned) {
+  const LiteralSet set({std::string("*\xff\x80*"), std::string("*\0*", 3)});
+  EXPECT_TRUE(set.any("a\xff\x80" "b"));
+  EXPECT_FALSE(set.any("a\x80\xff" "b"));
+  EXPECT_TRUE(set.any(std::string_view("a\0b", 3)));
+  EXPECT_FALSE(set.any("ab"));
+}
+
+TEST(LiteralSet, EmptySetMatchesNothing) {
+  const LiteralSet set(std::vector<std::string>{});
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_FALSE(set.any("anything"));
+}
 
 TEST(SymbolTable, IdsAreDenseInInsertionOrder) {
   hispar::util::SymbolTable table;

@@ -6,7 +6,10 @@
 // exception type, never a crash, never UB (run the binary under
 // ASan/UBSan; CI's fuzz-smoke job does). Grammar targets additionally
 // check the parse/str round-trip on every accepted input, so a
-// printing bug is a finding too.
+// printing bug is a finding too. The `literals` target compiles pattern
+// lines into a util::LiteralSet and checks its verdict on the text line
+// against util::glob_match, the reference, so a matcher bug is a
+// finding as well.
 //
 // Each iteration derives a case seed from the master --seed (the same
 // scheme as testkit::check, so one seed reproduces the whole run),
@@ -30,13 +33,17 @@
 #include <typeinfo>
 #include <vector>
 
+#include "browser/adblock.h"
+#include "browser/hb_detect.h"
 #include "core/serialization.h"
 #include "net/faults.h"
 #include "net/outage.h"
 #include "net/vantage_profile.h"
 #include "obs/json.h"
 #include "testkit/gen.h"
+#include "testkit/oracles.h"
 #include "testkit/property.h"
+#include "util/literal_set.h"
 
 namespace {
 
@@ -176,6 +183,34 @@ std::string seed_json() {
          R"("note":"seed \"artifact\" with\nescapes","flags":[true,false,null]})";
 }
 
+// `literals` input: one `*literal*` pattern per line, then one text
+// line. Rejects (std::invalid_argument) anything with no text line or a
+// pattern of another shape.
+struct LiteralCase {
+  std::vector<std::string> patterns;
+  std::string text;
+};
+
+LiteralCase parse_literal_case(const std::string& s) {
+  LiteralCase c;
+  std::size_t start = 0;
+  for (std::size_t end; (end = s.find('\n', start)) != std::string::npos;
+       start = end + 1)
+    c.patterns.push_back(s.substr(start, end - start));
+  if (c.patterns.empty())
+    throw std::invalid_argument("literals: no text line after the patterns");
+  c.text = s.substr(start);
+  hispar::util::LiteralSet{c.patterns};  // validates every shape
+  return c;
+}
+
+std::string seed_literals(const std::vector<std::string>& patterns,
+                          const std::string& text) {
+  std::string out;
+  for (const std::string& pattern : patterns) out += pattern + "\n";
+  return out + text;
+}
+
 std::vector<Target> make_targets() {
   namespace core = hispar::core;
   namespace net = hispar::net;
@@ -217,6 +252,22 @@ std::vector<Target> make_targets() {
                      [](const std::string& s) { hispar::obs::parse_json(s); },
                      nullptr,
                      {seed_json()}});
+
+  targets.push_back(
+      {"literals",
+       [](const std::string& s) { parse_literal_case(s); },
+       [](const std::string& s) {
+         const LiteralCase c = parse_literal_case(s);
+         return hispar::testkit::check_literal_set_matches_glob(c.patterns,
+                                                                {c.text});
+       },
+       {seed_literals(hispar::browser::AdBlocker::easylist_lite_patterns(),
+                      "https://securepubads.g.doubleclick.net/track/123-4"),
+        seed_literals(hispar::browser::HbDetector::standard_exchange_patterns(),
+                      "https://ib.adnxs.com/ut/v3/prebid"),
+        seed_literals(
+            hispar::browser::HbDetector::standard_ad_network_patterns(),
+            "https://www.example.com/asset/0-1")}});
 
   const auto grammar_roundtrip = [](auto parse) {
     return [parse](const std::string& s) -> std::optional<std::string> {
@@ -306,7 +357,8 @@ int usage() {
   std::cerr << "usage: hispar_fuzz [--iters N] [--seed S] [--target NAME]\n"
                "                   [--corpus DIR] [--write-corpus DIR]\n"
                "targets: measure listbuild vantage session listcsv json\n"
-               "         faults searchfaults chaos vantagespec (default all)\n";
+               "         literals faults searchfaults chaos vantagespec\n"
+               "         (default all)\n";
   return 2;
 }
 
