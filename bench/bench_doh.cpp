@@ -36,8 +36,8 @@ int main() {
                              std::vector<double>& cost) {
       browser::LoadOptions options;
       options.use_resource_hints = false;  // count every lookup
-      const auto result =
-          loader.load(site->page(page_index), util::Rng(11), options);
+      const web::WebPage page = site->page(page_index);
+      const auto result = loader.load(page, util::Rng(11), options);
       q.push_back(result.dns_lookups);
       // Per-page DoH cost: connection setup amortized per page (cold
       // browser session, as in the paper's methodology) + per query.

@@ -55,12 +55,14 @@ int main() {
     const auto landing = site->page(0);
     const auto internal = site->page(set.page_indices[1]);
 
+    // Results borrow from their pages: keep the pushed pages alive too.
+    const auto landing_pushed = browser::push_all_objects(landing);
+    const auto internal_pushed = browser::push_all_objects(internal);
     const auto lb = env.loader.load(landing, util::Rng(position));
-    const auto lp = env.loader.load(browser::push_all_objects(landing),
-                                    util::Rng(position));
+    const auto lp = env.loader.load(landing_pushed, util::Rng(position));
     const auto ib = env.loader.load(internal, util::Rng(position ^ 0xa5));
-    const auto ip = env.loader.load(browser::push_all_objects(internal),
-                                    util::Rng(position ^ 0xa5));
+    const auto ip =
+        env.loader.load(internal_pushed, util::Rng(position ^ 0xa5));
     landing_plt_base += lb.plt_ms;
     landing_plt_pushed += lp.plt_ms;
     internal_plt_base += ib.plt_ms;
@@ -110,9 +112,8 @@ int main() {
       const web::WebSite* site = world.web->find_site(set.domain);
       const auto page = site->page(set.page_indices[1]);
       const auto baseline = env.loader.load(page, util::Rng(position * 7));
-      const auto hinted =
-          env.loader.load(browser::with_added_hints(page, dns, preconnect),
-                          util::Rng(position * 7));
+      const auto hinted_page = browser::with_added_hints(page, dns, preconnect);
+      const auto hinted = env.loader.load(hinted_page, util::Rng(position * 7));
       base_plt += baseline.plt_ms;
       hinted_plt += hinted.plt_ms;
       base_dns += baseline.dns_time_ms;

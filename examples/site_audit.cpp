@@ -100,7 +100,9 @@ int main(int argc, char** argv) {
   net::CachingResolver resolver({}, latency);
   browser::PageLoader loader({&latency, &web.cdn_registry(), &cdn, &resolver,
                               net::Region::kNorthAmerica});
-  const auto load = loader.load(site->page(0), util::Rng(1));
+  // The HAR borrows from the page, so the page must outlive the export.
+  const web::WebPage landing = site->page(0);
+  const auto load = loader.load(landing, util::Rng(1));
   std::ofstream("har.json") << browser::to_har_json(load.har);
   std::cout << "landing-page HAR written to har.json ("
             << load.har.entries.size() << " entries)\n";

@@ -1,29 +1,18 @@
 #include "browser/critical_path.h"
 
 #include <algorithm>
-#include <stdexcept>
-#include <unordered_map>
 
 namespace hispar::browser {
 
 CriticalPath critical_path(const web::WebPage& page,
                            const LoadResult& result) {
-  if (result.har.entries.size() != page.objects.size())
-    throw std::invalid_argument(
-        "critical_path: load result does not match page");
-
-  // HAR entries are in completion-processing order; map back to object
-  // indices by URL (object URLs are unique within a page).
-  std::unordered_map<std::string, const HarEntry*> by_url;
-  for (const auto& entry : result.har.entries) by_url[entry.url] = &entry;
+  const std::vector<const HarEntry*> by_object =
+      entries_by_object(page, result, "critical_path");
 
   int last_object = -1;
   double last_finish = -1.0;
   for (std::size_t i = 0; i < page.objects.size(); ++i) {
-    const auto it = by_url.find(page.objects[i].url);
-    if (it == by_url.end())
-      throw std::invalid_argument("critical_path: URL missing from HAR");
-    const double finish = it->second->finished_at_ms();
+    const double finish = by_object[i]->finished_at_ms();
     if (finish > last_finish) {
       last_finish = finish;
       last_object = static_cast<int>(i);
@@ -36,8 +25,8 @@ CriticalPath critical_path(const web::WebPage& page,
   for (int index = last_object; index >= 0;
        index = page.objects[static_cast<std::size_t>(index)].parent_index) {
     path.object_indices.push_back(index);
-    const auto& entry = *by_url.at(page.objects[static_cast<std::size_t>(index)].url);
-    path.fetch_ms += entry.timings.total();
+    path.fetch_ms +=
+        by_object[static_cast<std::size_t>(index)]->timings.total();
   }
   std::reverse(path.object_indices.begin(), path.object_indices.end());
   path.hops = static_cast<int>(path.object_indices.size()) - 1;

@@ -1,6 +1,6 @@
 #include "browser/har.h"
 
-#include <set>
+#include <algorithm>
 #include <sstream>
 
 namespace hispar::browser {
@@ -11,10 +11,32 @@ double HarLog::total_bytes() const {
   return sum;
 }
 
+std::string_view to_string(XCache x_cache) {
+  switch (x_cache) {
+    case XCache::kNone: return "";
+    case XCache::kHit: return "HIT";
+    case XCache::kMiss: return "MISS";
+  }
+  return "";
+}
+
+std::vector<std::string> ResponseHeaders::lines() const {
+  std::vector<std::string> out;
+  for_each_line([&](std::string_view name, std::string_view value) {
+    std::string& line = out.emplace_back(name);
+    line += ": ";
+    line += value;
+  });
+  return out;
+}
+
 std::size_t HarLog::unique_domains() const {
-  std::set<std::string> hosts;
-  for (const auto& e : entries) hosts.insert(e.host);
-  return hosts.size();
+  std::vector<std::string_view> hosts;
+  hosts.reserve(entries.size());
+  for (const auto& e : entries) hosts.push_back(e.host);
+  std::sort(hosts.begin(), hosts.end());
+  return static_cast<std::size_t>(
+      std::unique(hosts.begin(), hosts.end()) - hosts.begin());
 }
 
 bool HarLog::has_mixed_content() const {
@@ -26,7 +48,7 @@ bool HarLog::has_mixed_content() const {
 }
 
 namespace {
-std::string json_escape(const std::string& s) {
+std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
@@ -58,9 +80,10 @@ std::string to_har_json(const HarLog& log) {
     if (!e.error.empty()) os << ",\"_error\":\"" << json_escape(e.error) << '"';
     os << ",\"content\":{\"size\":" << e.body_size << ",\"mimeType\":\""
        << json_escape(e.mime_type) << "\"},\"headers\":[";
-    for (std::size_t h = 0; h < e.response_headers.size(); ++h) {
+    const std::vector<std::string> headers = e.response_headers.lines();
+    for (std::size_t h = 0; h < headers.size(); ++h) {
       if (h) os << ',';
-      const auto& header = e.response_headers[h];
+      const auto& header = headers[h];
       const auto colon = header.find(':');
       const std::string name = header.substr(0, colon);
       const std::string value =

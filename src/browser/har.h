@@ -9,8 +9,10 @@
 // measurement toolchain would.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/url.h"
@@ -32,27 +34,65 @@ struct HarTimings {
   }
 };
 
+// X-Cache response header verdict ("HIT"/"MISS"), or none when the
+// serving provider does not emit the header.
+enum class XCache : std::uint8_t { kNone, kHit, kMiss };
+
+// The header value ("HIT"/"MISS"; "" for kNone).
+std::string_view to_string(XCache x_cache);
+
+// The response headers the analysis reads, as a record rather than
+// text: the serving CDN's signature header (emitted as
+// "<signature>: present") and X-Cache. A HAR consumer that wants the
+// "name: value" lines gets them, in HAR order, from for_each_line().
+struct ResponseHeaders {
+  // Header name from CdnProvider::header_signature; empty = none.
+  std::string_view cdn_signature;
+  XCache x_cache = XCache::kNone;
+
+  // Calls emit(name, value) once per header line "name: value", in HAR
+  // order (signature first, then X-Cache).
+  template <typename Emit>
+  void for_each_line(Emit&& emit) const {
+    if (!cdn_signature.empty())
+      emit(cdn_signature, std::string_view("present"));
+    if (x_cache != XCache::kNone)
+      emit(std::string_view("x-cache"), to_string(x_cache));
+  }
+
+  // The header lines as "name: value" strings.
+  std::vector<std::string> lines() const;
+};
+
+// One fetched object. Entries borrow rather than own their text: `url`,
+// `host` and `dns_cname` view the WebObject that produced the entry,
+// `mime_type` views the static MIME table (web::representative_mime_type),
+// `error` and `request_method` view static strings, and the signature in
+// `response_headers` views the CdnRegistry's provider. An entry is valid
+// only while those outlive it; see LoadResult in loader.h. Hand-built
+// entries (tests, tools) must point at strings they keep alive.
 struct HarEntry {
-  std::string url;
-  std::string host;
+  std::string_view url;
+  std::string_view host;
   util::Scheme scheme = util::Scheme::kHttps;
-  std::string mime_type;              // concrete type, e.g. "image/jpeg"
-  std::string request_method = "GET";
+  std::string_view mime_type;         // concrete type, e.g. "image/jpeg"
+  std::string_view request_method = "GET";
   // 200 for successful fetches, 5xx for server errors, 0 when the fetch
   // never produced a response (DNS/connect failures, watchdog aborts).
   int status = 200;
   // Failure description for entries that did not complete cleanly
   // (empty = no error). Mirrors the HAR `_error` custom field real
   // browsers emit for failed requests.
-  std::string error;
+  std::string_view error;
   double body_size = 0.0;             // bytes
   bool cacheable = false;             // from Cache-Control/response code
+  // Index of the page object this entry fetched (WebPage::objects);
+  // entries are in completion order, not object order.
+  std::uint32_t object_index = 0;
   double started_at_ms = 0.0;         // relative to navigationStart
   HarTimings timings;
-  std::vector<std::string> response_headers;  // "name: value"
-  std::optional<std::string> dns_cname;       // observed CNAME target
-  // X-Cache response header value ("HIT"/"MISS") when present.
-  std::optional<std::string> x_cache;
+  ResponseHeaders response_headers;
+  std::optional<std::string_view> dns_cname;  // observed CNAME target
 
   double finished_at_ms() const { return started_at_ms + timings.total(); }
 };
@@ -64,6 +104,8 @@ struct NavigationTiming {
   double on_load_ms = 0.0;
 };
 
+// A page load's HAR. `page_url` is owned; the entries borrow (see
+// HarEntry), so a HarLog must not outlive the page it was loaded from.
 struct HarLog {
   std::string page_url;
   std::vector<HarEntry> entries;

@@ -38,8 +38,8 @@ std::pair<bool, bool> HbDetector::classify_url(std::string_view url) const {
 }
 
 HbResult HbDetector::analyze(const HarLog& log) const {
-  std::set<std::string> exchanges;
-  std::set<std::string> creatives;
+  std::set<std::string_view> exchanges;
+  std::set<std::string_view> creatives;
   for (const auto& entry : log.entries) {
     const auto [exchange, creative] = classify_url(entry.url);
     if (exchange) exchanges.insert(entry.host);

@@ -97,6 +97,25 @@ struct PageLoader::Scratch {
   std::unordered_map<std::string_view, int> local_index;
 };
 
+std::vector<const HarEntry*> entries_by_object(const web::WebPage& page,
+                                               const LoadResult& result,
+                                               std::string_view caller) {
+  const auto mismatch = [&] {
+    return std::invalid_argument(std::string(caller) +
+                                 ": load result does not match page");
+  };
+  if (result.har.entries.size() != page.objects.size()) throw mismatch();
+  std::vector<const HarEntry*> by_object(page.objects.size(), nullptr);
+  for (const HarEntry& entry : result.har.entries) {
+    const std::size_t index = entry.object_index;
+    if (index >= by_object.size() || by_object[index] != nullptr ||
+        entry.url != page.objects[index].url)
+      throw mismatch();
+    by_object[index] = &entry;
+  }
+  return by_object;
+}
+
 PageLoader::PageLoader(LoaderEnv env)
     : env_(env), scratch_(std::make_unique<Scratch>()) {
   if (env_.latency == nullptr || env_.registry == nullptr ||
@@ -187,7 +206,7 @@ LoadResult PageLoader::load(const web::WebPage& page, util::Rng rng,
                                double end_ms) {
     if (!tracing) return;
     obs::TraceSpan span;
-    span.name = entry.host;
+    span.name = std::string(entry.host);
     span.cat = "object";
     span.ts_us = obs::to_trace_us(options.start_time_s + ready_at / 1000.0);
     span.dur_us = obs::to_trace_us((end_ms - ready_at) / 1000.0);
@@ -327,6 +346,7 @@ LoadResult PageLoader::load(const web::WebPage& page, util::Rng rng,
   // when their downloads overlap perfectly.
   double blocking_main_thread_ms = 0.0;
   std::vector<PaintEvent> paint_events;
+  paint_events.reserve(n);  // one allocation, not one per doubling
 
   // Success tail shared by the network path and the browser-cache fresh
   // hit: render-blocking bookkeeping, paint scheduling, telemetry, and
@@ -368,11 +388,12 @@ LoadResult PageLoader::load(const web::WebPage& page, util::Rng rng,
     entry.url = o.url;
     entry.host = o.host;
     entry.scheme = o.scheme;
-    entry.mime_type = std::string(web::representative_mime_type(o.mime));
+    entry.mime_type = web::representative_mime_type(o.mime);
     entry.body_size = o.size_bytes;
     entry.cacheable = o.cacheable;
+    entry.object_index = static_cast<std::uint32_t>(index);
     entry.started_at_ms = ready_at;
-    entry.dns_cname = o.dns_cname;
+    if (o.dns_cname) entry.dns_cname = *o.dns_cname;
 
     // Page-level watchdog: fetches that would start after the abort
     // deadline never happen (Firefox kills hung loads at ~60 s). The
@@ -615,16 +636,15 @@ LoadResult PageLoader::load(const web::WebPage& page, util::Rng rng,
             response = env_.cdn->serve(env_.registry->provider(o.cdn_provider_id),
                                        request, rng);
             const auto& provider = env_.registry->provider(o.cdn_provider_id);
-            if (!provider.header_signature.empty())
-              entry.response_headers.push_back(provider.header_signature +
-                                               ": present");
+            entry.response_headers.cdn_signature = provider.header_signature;
             if (!response.x_cache.empty()) {
-              entry.x_cache = response.x_cache;
-              entry.response_headers.push_back("x-cache: " + response.x_cache);
-              if (response.x_cache == "HIT")
+              if (response.x_cache == "HIT") {
+                entry.response_headers.x_cache = XCache::kHit;
                 ++result.x_cache_hits;
-              else
+              } else {
+                entry.response_headers.x_cache = XCache::kMiss;
                 ++result.x_cache_misses;
+              }
             }
           } else {
             request.origin = o.origin_region;
@@ -733,7 +753,7 @@ LoadResult PageLoader::load(const web::WebPage& page, util::Rng rng,
 
     if (fate != net::FaultKind::kNone) {
       entry.status = fate == net::FaultKind::kHttp5xx ? 503 : 0;
-      entry.error = std::string(net::to_string(fate));
+      entry.error = net::to_string(fate);
       if (fate != net::FaultKind::kTruncatedTransfer) entry.body_size = 0.0;
       ++result.failed_objects;
       if (index == 0) {

@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string_view>
+#include <vector>
 
 #include "browser/har.h"
 #include "browser/http_cache.h"
@@ -123,6 +125,12 @@ enum class LoadStatus : std::uint8_t { kOk, kDegraded, kFailed };
 
 std::string_view to_string(LoadStatus status);
 
+// What one load produced. The HAR borrows (see HarEntry): its entries
+// view strings owned by the loaded WebPage and by the env's CdnRegistry.
+// A LoadResult must not outlive either of them, nor, for a page served
+// by web::PageCache, the next PageCache::get() for that page's slot
+// (which may replace the page in place). Loading a temporary page —
+// `loader.load(site.page(i), rng)` — leaves a result whose HAR dangles.
 struct LoadResult {
   HarLog har;
   double plt_ms = 0.0;  // navigationStart -> firstPaint (paper's PLT)
@@ -154,6 +162,15 @@ struct LoadResult {
   int cache_revalidations = 0;
   int cache_misses = 0;
 };
+
+// The HAR entry of each page object, indexed like `page.objects` (a HAR
+// lists entries in completion order), joined by HarEntry::object_index.
+// Throws std::invalid_argument naming `caller` unless `result` came from
+// loading exactly `page`: one entry per object, each at its object's
+// URL. Objects that share a URL keep their own entries.
+std::vector<const HarEntry*> entries_by_object(const web::WebPage& page,
+                                               const LoadResult& result,
+                                               std::string_view caller);
 
 class PageLoader {
  public:

@@ -1,8 +1,6 @@
 #include "browser/qoe.h"
 
 #include <algorithm>
-#include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "web/mime.h"
@@ -10,11 +8,8 @@
 namespace hispar::browser {
 
 QoeMetrics qoe_metrics(const web::WebPage& page, const LoadResult& result) {
-  if (result.har.entries.size() != page.objects.size())
-    throw std::invalid_argument("qoe_metrics: load result does not match page");
-
-  std::unordered_map<std::string, const HarEntry*> by_url;
-  for (const auto& entry : result.har.entries) by_url[entry.url] = &entry;
+  const std::vector<const HarEntry*> by_object =
+      entries_by_object(page, result, "qoe_metrics");
 
   QoeMetrics metrics;
   metrics.first_paint_ms = result.plt_ms;
@@ -23,8 +18,9 @@ QoeMetrics qoe_metrics(const web::WebPage& page, const LoadResult& result) {
   std::vector<std::pair<double, double>> paints;
   double total_weight = 0.0;
   double js_cost_ms = 0.0;
-  for (const auto& object : page.objects) {
-    const HarEntry* entry = by_url.at(object.url);
+  for (std::size_t i = 0; i < page.objects.size(); ++i) {
+    const web::WebObject& object = page.objects[i];
+    const HarEntry* entry = by_object[i];
     if (web::is_visual(object.mime)) {
       const double at = std::max(entry->finished_at_ms(), result.plt_ms);
       paints.emplace_back(at, object.size_bytes);

@@ -10,6 +10,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cdn/provider.h"
@@ -17,11 +18,12 @@
 namespace hispar::cdn {
 
 // Observable facts about one fetched object, as a HAR-reading tool has
-// them.
+// them. The host and CNAME are views: the caller keeps their strings
+// alive for the classify() call.
 struct ObservedFetch {
-  std::string host;                         // request host
-  std::optional<std::string> dns_cname;     // CNAME chain tail, if any
-  std::vector<std::string> response_headers;  // "name: value" lines
+  std::string_view host;                       // request host
+  std::optional<std::string_view> dns_cname;   // CNAME chain tail, if any
+  std::vector<std::string> response_headers;   // "name: value" lines
 };
 
 struct DetectionResult {

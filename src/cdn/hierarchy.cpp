@@ -69,13 +69,16 @@ CdnResponse CdnHierarchy::serve(const CdnProvider& provider,
   auto [it, inserted] = edge_lrus_.try_emplace(lru_key, config_.edge_lru_bytes);
   LruCache& lru = it->second;
 
-  const bool warm_from_own_traffic = lru.touch(request.url);
+  // Hit or miss, the edge ends up holding the object at the front of its
+  // LRU (a miss admits it on the way back from the parent/origin), so
+  // one insert() both reports and refreshes this run's own warmth.
+  const bool warm_from_own_traffic =
+      lru.insert(request.url, static_cast<std::size_t>(request.size_bytes));
   const bool warm_from_world = rng.chance(edge_warm_probability(
       request.request_rate));
 
   if (warm_from_own_traffic || warm_from_world) {
     ++edge_hits_;
-    lru.insert(request.url, static_cast<std::size_t>(request.size_bytes));
     response.served_from = CacheLevel::kEdge;
     response.wait_ms =
         jittered(config_.edge_processing_ms, config_.processing_sigma, rng);
@@ -87,7 +90,6 @@ CdnResponse CdnHierarchy::serve(const CdnProvider& provider,
   // Edge miss: consult the parent tier. Parent caches are typically in
   // the same region as the edge (or one hop away); we charge one
   // intra-region RTT.
-  lru.insert(request.url, static_cast<std::size_t>(request.size_bytes));
   const double edge_parent_rtt = latency_->rtt(edge, edge, rng);
   if (rng.chance(parent_warm_probability(request.request_rate))) {
     response.served_from = CacheLevel::kParent;

@@ -41,8 +41,11 @@ enum class CacheLevel : std::uint8_t { kEdge, kParent, kOrigin };
 
 std::string_view to_string(CacheLevel level);
 
+// Requests and responses borrow their text: `url` views the caller's
+// string (the page object's URL on the loader path), and `x_cache`
+// views a static literal.
 struct CdnRequest {
-  std::string url;               // cache key
+  std::string_view url;          // cache key
   double size_bytes = 0.0;
   // Steady-state requests/second this object receives globally; derived
   // from site traffic and object popularity by the web model.
@@ -58,7 +61,7 @@ struct CdnResponse {
   // client<->edge network path (maps to the HAR `wait` phase).
   double wait_ms = 0.0;
   // "HIT"/"MISS" when the provider emits X-Cache; empty otherwise.
-  std::string x_cache;
+  std::string_view x_cache;
   net::Region edge_region = net::Region::kNorthAmerica;
 };
 

@@ -3,6 +3,11 @@
 // Used for the deterministic layer of the CDN cache hierarchy (objects we
 // fetched recently during a measurement run stay hot) and directly
 // unit-tested; the probabilistic layer on top is in hierarchy.h.
+//
+// Keys are taken as views and copied once, into the list node that
+// holds the entry; the hash index keys on a view of that node's string.
+// List nodes never move (splice relinks them), so the views stay valid
+// until the entry is evicted, and the index is erased first.
 #pragma once
 
 #include <cstddef>
@@ -10,6 +15,7 @@
 #include <list>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 namespace hispar::cdn {
@@ -22,41 +28,45 @@ class LruCache {
   }
 
   // Returns true (and refreshes recency) if `key` is cached.
-  bool touch(const std::string& key) {
+  bool touch(std::string_view key) {
     auto it = index_.find(key);
     if (it == index_.end()) return false;
     order_.splice(order_.begin(), order_, it->second);
     return true;
   }
 
-  bool contains(const std::string& key) const { return index_.count(key); }
+  bool contains(std::string_view key) const { return index_.count(key); }
 
-  // Inserts `key` with `size` bytes, evicting LRU entries as needed.
-  // Objects larger than the capacity are not admitted; growing an
-  // existing entry past the capacity evicts it (keeping the old bytes
-  // would misstate what the cache holds).
-  void insert(const std::string& key, std::size_t size) {
-    if (size > capacity_) {
-      auto it = index_.find(key);
-      if (it != index_.end()) {
-        used_ -= it->second->size;
-        order_.erase(it->second);
-        index_.erase(it);
-      }
-      return;
-    }
+  // Inserts `key` with `size` bytes, evicting LRU entries as needed, and
+  // returns whether `key` was cached before the call (so touch() then
+  // insert() of one key is a single lookup). Objects larger than the
+  // capacity are not admitted; growing an existing entry past the
+  // capacity evicts it (keeping the old bytes would misstate what the
+  // cache holds).
+  bool insert(std::string_view key, std::size_t size) {
     auto it = index_.find(key);
-    if (it != index_.end()) {
+    const bool cached = it != index_.end();
+    if (size > capacity_) {
+      if (cached) {
+        used_ -= it->second->size;
+        const auto node = it->second;
+        index_.erase(it);
+        order_.erase(node);
+      }
+      return cached;
+    }
+    if (cached) {
       used_ -= it->second->size;
       it->second->size = size;
       used_ += size;
       order_.splice(order_.begin(), order_, it->second);
     } else {
-      order_.push_front(Entry{key, size});
-      index_[key] = order_.begin();
+      order_.push_front(Entry{std::string(key), size});
+      index_.emplace(order_.front().key, order_.begin());
       used_ += size;
     }
     while (used_ > capacity_) evict_one();
+    return cached;
   }
 
   std::size_t used_bytes() const { return used_; }
@@ -67,8 +77,8 @@ class LruCache {
   std::uint64_t evictions() const { return evictions_; }
 
   void clear() {
-    order_.clear();
     index_.clear();
+    order_.clear();
     used_ = 0;
   }
 
@@ -90,7 +100,7 @@ class LruCache {
   std::size_t used_ = 0;
   std::uint64_t evictions_ = 0;
   std::list<Entry> order_;
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_;
 };
 
 }  // namespace hispar::cdn

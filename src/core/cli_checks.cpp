@@ -65,4 +65,13 @@ std::unique_ptr<std::ofstream> open_artifact(const char* cmd,
   return out;
 }
 
+void finish_artifact(const char* cmd, const char* flag,
+                     const std::string& path, std::ofstream& out) {
+  out.flush();
+  out.close();
+  if (out.fail())
+    throw std::runtime_error(std::string(cmd) + ": cannot write --" + flag +
+                             " file: " + path);
+}
+
 }  // namespace hispar::core

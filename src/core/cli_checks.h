@@ -67,4 +67,11 @@ std::unique_ptr<std::ofstream> open_artifact(const char* cmd,
                                              const char* flag,
                                              const std::string& path);
 
+// Flushes and closes an artifact stream once everything is written,
+// throwing std::runtime_error with open_artifact's message if any write,
+// the flush or the close failed (a full disk, /dev/full, a quota). An
+// artifact the run reports as written must really be on disk.
+void finish_artifact(const char* cmd, const char* flag,
+                     const std::string& path, std::ofstream& out);
+
 }  // namespace hispar::core

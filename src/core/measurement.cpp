@@ -317,7 +317,6 @@ PageMetrics extract_page_metrics(const web::WebPage& page,
   m.plt_ms = result.plt_ms;
   m.on_load_ms = result.on_load_ms;
   m.speed_index_ms = result.speed_index_ms;
-  m.unique_domains = static_cast<double>(har.unique_domains());
   m.handshakes = result.handshakes;
   m.handshake_time_ms = result.handshake_time_ms;
   m.dns_lookups = result.dns_lookups;
@@ -333,6 +332,8 @@ PageMetrics extract_page_metrics(const web::WebPage& page,
   const std::string page_rd = util::registrable_domain(page.url.host);
   d.hb_hosts.clear();
   d.hb_urls.clear();
+  ++d.load_stamp;
+  std::size_t unique_hosts = 0;
   std::size_t tracking_requests = 0;
 
   double cacheable_bytes = 0.0;
@@ -353,21 +354,31 @@ PageMetrics extract_page_metrics(const web::WebPage& page,
       d.key_buf.push_back('@');
       d.key_buf.append(*entry.dns_cname);
     }
-    for (const auto& header : entry.response_headers) {
-      d.key_buf.push_back('\n');
-      d.key_buf.append(header);
-    }
+    entry.response_headers.for_each_line(
+        [&](std::string_view name, std::string_view value) {
+          d.key_buf.push_back('\n');
+          d.key_buf.append(name);
+          d.key_buf.append(": ");
+          d.key_buf.append(value);
+        });
     const std::uint32_t fetch_id = d.fetch_keys.intern(d.key_buf);
     if (fetch_id == d.via_cdn.size()) {
       const cdn::ObservedFetch fetch{entry.host, entry.dns_cname,
-                                     entry.response_headers};
+                                     entry.response_headers.lines()};
       d.via_cdn.push_back(detector.classify(fetch).via_cdn ? 1 : 0);
     }
     if (d.via_cdn[fetch_id] != 0) cdn_bytes += entry.body_size;
     // Third parties by registrable domain (§6.2), host memoized.
     const std::uint32_t host_id = d.hosts.intern(entry.host);
-    if (host_id == d.registrable.size())
+    if (host_id == d.registrable.size()) {
       d.registrable.push_back(util::registrable_domain(entry.host));
+      d.host_stamp.push_back(0);
+    }
+    // Distinct hosts (HarLog::unique_domains), counted off the memo ids.
+    if (d.host_stamp[host_id] != d.load_stamp) {
+      d.host_stamp[host_id] = d.load_stamp;
+      ++unique_hosts;
+    }
     if (d.registrable[host_id] != page_rd)
       m.third_parties.insert(d.registrable[host_id]);
     // Tracker / header-bidding pattern scans (§6.3), URL memoized.
@@ -389,6 +400,7 @@ PageMetrics extract_page_metrics(const web::WebPage& page,
     if (m.wait_samples_ms.size() < wait_sample_cap)
       m.wait_samples_ms.push_back(entry.timings.wait);
   }
+  m.unique_domains = static_cast<double>(unique_hosts);
   if (metrics != nullptr && har.entries.size() > m.wait_samples_ms.size())
     metrics->counter("loader.wait_samples_dropped") +=
         har.entries.size() - m.wait_samples_ms.size();

@@ -220,6 +220,11 @@ struct DetectionScratch {
   // Host -> registrable domain.
   util::SymbolTable hosts;
   std::vector<std::string> registrable;
+  // Host id -> the last extraction that saw it (`load_stamp`, bumped once
+  // per extraction and never wrapping), so distinct hosts are counted
+  // without a set.
+  std::vector<std::uint64_t> host_stamp;
+  std::uint64_t load_stamp = 0;
   // Per-load distinct-host / distinct-URL buffers replicating
   // HbDetector::analyze()'s aggregation (views into the HAR).
   std::vector<std::string_view> hb_hosts;

@@ -127,6 +127,8 @@ void save_csv(const HisparList& list, const std::string& path) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("hispar csv: cannot open " + path);
   write_csv(list, out);
+  out.close();
+  if (out.fail()) throw std::runtime_error("hispar csv: cannot write " + path);
 }
 
 HisparList load_csv(const std::string& path) {

@@ -33,7 +33,8 @@ HisparList from_csv(const std::string& csv, std::string name = "from-csv");
 // --- JSON (subset used by the published artifact) ---
 std::string to_json(const HisparList& list);
 
-// Convenience file helpers.
+// Convenience file helpers. save_csv throws std::runtime_error when the
+// file cannot be opened or any write, the flush or the close fails.
 void save_csv(const HisparList& list, const std::string& path);
 HisparList load_csv(const std::string& path);
 

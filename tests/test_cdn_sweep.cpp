@@ -25,8 +25,9 @@ TEST_P(WarmthSweep, ObservedHitRateMatchesModel) {
   constexpr int kTrials = 4000;
   int hits = 0;
   for (int i = 0; i < kTrials; ++i) {
+    const std::string url = "https://x/" + std::to_string(i);  // no LRU help
     CdnRequest request;
-    request.url = "https://x/" + std::to_string(i);  // distinct: no LRU help
+    request.url = url;  // a view: `url` outlives the serve() call
     request.size_bytes = 10e3;
     request.request_rate = rate;
     const auto response = cdn.serve(provider, request, rng);
@@ -51,9 +52,10 @@ TEST_P(WarmthSweep, WaitGrowsAsRateFalls) {
   const auto mean_wait = [&](double r) {
     double total = 0.0;
     for (int i = 0; i < 2000; ++i) {
+      const std::string url =
+          "https://y/" + std::to_string(i) + "/" + std::to_string(r);
       CdnRequest request;
-      request.url = "https://y/" + std::to_string(i) + "/" +
-                    std::to_string(r);
+      request.url = url;
       request.size_bytes = 10e3;
       request.request_rate = r;
       total += cdn.serve(provider, request, rng).wait_ms;

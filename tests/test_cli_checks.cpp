@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -250,6 +254,95 @@ TEST(CliChecksTest, UnwritableOutputFailsFast) {
   EXPECT_TRUE(out->good());
   out.reset();
   std::remove(ok_path.c_str());
+}
+
+// /dev/full accepts every open and fails every write: the open-time
+// check passes, so only the end-of-write check can catch it.
+bool have_dev_full() { return ::access("/dev/full", W_OK) == 0; }
+
+TEST(CliChecksTest, FinishArtifactReportsFailedWrites) {
+  if (!have_dev_full()) GTEST_SKIP() << "/dev/full is absent";
+  auto full = hispar::core::open_artifact("measure", "report-out", "/dev/full");
+  *full << std::string(1 << 16, 'x');
+  try {
+    hispar::core::finish_artifact("measure", "report-out", "/dev/full", *full);
+    ADD_FAILURE() << "a failed write was reported as written";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "measure: cannot write --report-out file: /dev/full");
+  }
+
+  const std::string ok_path = ::testing::TempDir() + "cli_checks_finish.csv";
+  auto ok = hispar::core::open_artifact("measure", "out", ok_path);
+  *ok << "a,b\n";
+  EXPECT_NO_THROW(
+      hispar::core::finish_artifact("measure", "out", ok_path, *ok));
+  std::remove(ok_path.c_str());
+}
+
+// The same contract end to end through the `hispar` binary: a run whose
+// artifact could not be written exits non-zero and names the flag. ctest
+// runs each case as its own process, in parallel, so every file a case
+// touches carries the case's name.
+class CliArtifactWriteTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!have_dev_full()) GTEST_SKIP() << "/dev/full is absent";
+    prefix_ = ::testing::TempDir() + "cli_checks_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    list_path_ = prefix_ + "_list.csv";
+    ASSERT_EQ(run("build " + kWorld + " --out " + list_path_), 0)
+        << stderr_text();
+  }
+  void TearDown() override {
+    for (const char* suffix : {"_list.csv", "_stderr.txt", "_out.csv"})
+      std::remove((prefix_ + suffix).c_str());
+  }
+
+  // Runs `hispar <args>`; returns its exit status, keeping stderr.
+  int run(const std::string& args) const {
+    const std::string command = std::string(HISPAR_CLI_PATH) + " " + args +
+                                " > /dev/null 2> " + prefix_ + "_stderr.txt";
+    const int status = std::system(command.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
+  std::string stderr_text() const {
+    std::ifstream in(prefix_ + "_stderr.txt");
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  }
+
+  static inline const std::string kWorld =
+      "--universe 600 --sites 4 --urls 4 --min-results 2 --shards 2";
+  std::string prefix_;
+  std::string list_path_;
+};
+
+TEST_F(CliArtifactWriteTest, MeasureOutToFullDeviceFails) {
+  EXPECT_EQ(run("measure --universe 600 --shards 2 --loads 1 --list " +
+                list_path_ + " --out /dev/full"),
+            1);
+  EXPECT_NE(stderr_text().find("measure: cannot write --out file: /dev/full"),
+            std::string::npos)
+      << stderr_text();
+}
+
+TEST_F(CliArtifactWriteTest, MeasureReportOutToFullDeviceFails) {
+  const std::string out = prefix_ + "_out.csv";
+  EXPECT_EQ(run("measure --universe 600 --shards 2 --loads 1 --list " +
+                list_path_ + " --out " + out + " --report-out /dev/full"),
+            1);
+  EXPECT_NE(
+      stderr_text().find("measure: cannot write --report-out file: /dev/full"),
+      std::string::npos)
+      << stderr_text();
+}
+
+TEST_F(CliArtifactWriteTest, BuildOutToFullDeviceFails) {
+  EXPECT_EQ(run("build " + kWorld + " --out /dev/full"), 1);
+  EXPECT_NE(stderr_text().find("build: cannot write --out file: /dev/full"),
+            std::string::npos)
+      << stderr_text();
 }
 
 }  // namespace

@@ -2,11 +2,51 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "util/url.h"
 #include "web/generator.h"
 
 namespace {
 
 using namespace hispar;
+
+// A hand-built page whose two images share one URL: a large image
+// discovered by the root, and a small one discovered by parsing the
+// large one (so it is fetched after the large one finishes). Joining
+// HAR entries to objects by URL would hand both objects the later
+// entry's timing; the join is by HarEntry::object_index.
+web::WebPage duplicate_url_page() {
+  web::WebPage page;
+  page.url = *util::parse_url("https://www.dup.example/");
+  const auto object = [&](const std::string& url, web::MimeCategory mime,
+                          double bytes, int parent) {
+    web::WebObject o;
+    o.url = url;
+    o.host = "www.dup.example";
+    o.mime = mime;
+    o.size_bytes = bytes;
+    o.parent_index = parent;
+    o.depth = parent < 0
+                  ? 0
+                  : page.objects[static_cast<std::size_t>(parent)].depth + 1;
+    page.objects.push_back(o);
+  };
+  object("https://www.dup.example/", web::MimeCategory::kHtmlCss, 20e3, -1);
+  object("https://www.dup.example/hero.jpg", web::MimeCategory::kImage, 1e6, 0);
+  object("https://www.dup.example/hero.jpg", web::MimeCategory::kImage, 10e3,
+         1);
+  return page;
+}
+
+const browser::HarEntry& entry_of(const browser::LoadResult& result,
+                                  std::uint32_t object_index) {
+  for (const auto& entry : result.har.entries)
+    if (entry.object_index == object_index) return entry;
+  throw std::logic_error("no HAR entry for the object");
+}
 
 class CriticalPathTest : public ::testing::Test {
  protected:
@@ -78,7 +118,8 @@ TEST_F(CriticalPathTest, PushShortensDeepPageLoads) {
   for (std::size_t rank : {2ul, 5ul, 9ul, 14ul}) {
     const auto page = web_.site_by_rank(rank).page(0);
     const auto baseline = load(page, 3);
-    const auto pushed = load(browser::push_all_objects(page), 3);
+    const auto pushed_page = browser::push_all_objects(page);
+    const auto pushed = load(pushed_page, 3);
     baseline_total += baseline.on_load_ms;
     pushed_total += pushed.on_load_ms;
   }
@@ -95,9 +136,25 @@ TEST_F(CriticalPathTest, AddedHintsAreVisible) {
 TEST_F(CriticalPathTest, AddedHintsDoNotSlowTheLoad) {
   const auto page = web_.site_by_rank(6).page(1);
   const auto baseline = load(page, 9);
-  const auto hinted = load(browser::with_added_hints(page, 10, 6), 9);
+  const auto hinted_page = browser::with_added_hints(page, 10, 6);
+  const auto hinted = load(hinted_page, 9);
   // DNS time can only shrink when more hosts are prefetched.
   EXPECT_LE(hinted.dns_time_ms, baseline.dns_time_ms + 1e-9);
+}
+
+TEST_F(CriticalPathTest, ObjectsSharingAUrlKeepTheirOwnTimings) {
+  const web::WebPage page = duplicate_url_page();
+  const auto result = load(page, 4);
+  ASSERT_EQ(result.status, browser::LoadStatus::kOk);
+  // The small image is discovered by parsing the large one, so the
+  // path that defined onLoad runs root -> large -> small.
+  const auto path = browser::critical_path(page, result);
+  EXPECT_EQ(path.object_indices, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(path.hops, 2);
+  EXPECT_DOUBLE_EQ(path.length_ms, entry_of(result, 2).finished_at_ms());
+  EXPECT_DOUBLE_EQ(path.fetch_ms, entry_of(result, 0).timings.total() +
+                                      entry_of(result, 1).timings.total() +
+                                      entry_of(result, 2).timings.total());
 }
 
 }  // namespace

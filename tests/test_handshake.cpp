@@ -12,6 +12,14 @@ struct HandshakeCase {
   int expected_rtts;
 };
 
+// Print by value: the default printer dumps the object's bytes, and the
+// two padding bytes after `resumed` hold whatever the stack held, so
+// discovered test names changed from build to build.
+void PrintTo(const HandshakeCase& c, std::ostream* os) {
+  *os << to_string(c.protocol) << (c.resumed ? " resumed" : " fresh")
+      << " -> " << c.expected_rtts;
+}
+
 class HandshakeRtts : public ::testing::TestWithParam<HandshakeCase> {};
 
 TEST_P(HandshakeRtts, RoundTripsMatchSpec) {

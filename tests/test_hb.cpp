@@ -2,15 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <string>
+#include <string_view>
+
 namespace {
 
 using namespace hispar::browser;
 
+// HAR entries borrow their strings, and entry_for() is called with
+// temporaries: park every URL here so the entries' views stay valid for
+// the whole test binary (a deque never moves its elements).
 HarEntry entry_for(const std::string& url) {
+  static std::deque<std::string> urls;
+  const std::string_view owned = urls.emplace_back(url);
   HarEntry entry;
-  entry.url = url;
-  const auto host_start = url.find("//") + 2;
-  entry.host = url.substr(host_start, url.find('/', host_start) - host_start);
+  entry.url = owned;
+  const auto host_start = owned.find("//") + 2;
+  entry.host =
+      owned.substr(host_start, owned.find('/', host_start) - host_start);
   return entry;
 }
 

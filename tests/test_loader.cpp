@@ -150,7 +150,7 @@ TEST_F(LoaderTest, XCacheCountsOnlyFromEmittingProviders) {
   const auto result = load(page);
   int with_header = 0;
   for (const auto& entry : result.har.entries)
-    with_header += entry.x_cache.has_value();
+    with_header += entry.response_headers.x_cache != browser::XCache::kNone;
   EXPECT_EQ(with_header, result.x_cache_hits + result.x_cache_misses);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace {
 
 using hispar::cdn::LruCache;
@@ -81,6 +83,35 @@ TEST(LruCacheTest, ClearEmpties) {
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.used_bytes(), 0u);
   EXPECT_FALSE(cache.contains("a"));
+}
+
+TEST(LruCacheTest, InsertReportsWhetherTheKeyWasCached) {
+  LruCache cache(30);
+  EXPECT_FALSE(cache.insert("a", 10));
+  EXPECT_TRUE(cache.insert("a", 10));
+  EXPECT_FALSE(cache.insert("b", 10));
+  EXPECT_FALSE(cache.insert("c", 10));
+  // A re-insert refreshes recency like touch(): "b" is now the LRU entry.
+  EXPECT_TRUE(cache.insert("a", 10));
+  EXPECT_FALSE(cache.insert("d", 10));  // evicts b
+  EXPECT_FALSE(cache.contains("b"));
+  EXPECT_TRUE(cache.contains("a"));
+  // An oversized update evicts the resident copy and still reports it.
+  EXPECT_TRUE(cache.insert("a", 31));
+  EXPECT_FALSE(cache.contains("a"));
+  EXPECT_FALSE(cache.insert("a", 31));
+}
+
+TEST(LruCacheTest, KeysOutliveTheCallersStrings) {
+  // The cache copies each key once; the caller's buffer may change.
+  LruCache cache(100);
+  std::string key = "https://static.example.com/app.js";
+  cache.insert(key, 10);
+  key.assign("https://static.example.com/other.js");
+  EXPECT_FALSE(cache.contains(key));
+  EXPECT_TRUE(cache.contains("https://static.example.com/app.js"));
+  cache.insert(key, 10);
+  EXPECT_EQ(cache.entries(), 2u);
 }
 
 TEST(LruCacheTest, ZeroCapacityThrows) {

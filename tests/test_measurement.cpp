@@ -512,8 +512,9 @@ TEST_F(CheckpointTest, MismatchedConfigIsRejected) {
 }
 
 // extract_page_metrics hand-copies the §6.3 aggregation over memoized
-// per-URL verdicts; it must agree with the reference detectors run on
-// the same HAR, whether the scratch memo is fresh or already warm.
+// per-URL verdicts, and counts distinct hosts off the host memo's ids;
+// both must agree with the reference detectors and HarLog run on the
+// same HAR, whether the scratch memo is fresh or already warm.
 TEST_F(MeasurementTest, DetectionMatchesReferenceDetectors) {
   net::LatencyModel latency;
   cdn::CdnHierarchy cdn(web_.cdn_registry(), latency);
@@ -555,6 +556,9 @@ TEST_F(MeasurementTest, DetectionMatchesReferenceDetectors) {
         EXPECT_EQ(m.header_bidding, reference.header_bidding)
             << page.url.str();
         EXPECT_EQ(m.hb_ad_slots, static_cast<double>(reference.ad_slots))
+            << page.url.str();
+        EXPECT_EQ(m.unique_domains,
+                  static_cast<double>(result.har.unique_domains()))
             << page.url.str();
       }
       tracking += static_cast<double>(blocked);

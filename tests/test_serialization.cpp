@@ -1,6 +1,7 @@
 #include "core/serialization.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <sstream>
 
@@ -121,6 +122,12 @@ TEST(SerializationTest, FileRoundTrip) {
   EXPECT_EQ(loaded.sets.size(), 2u);
   EXPECT_EQ(loaded.total_urls(), sample_list().total_urls());
   EXPECT_THROW(load_csv("/nonexistent/dir/x.csv"), std::runtime_error);
+}
+
+TEST(SerializationTest, SaveCsvReportsFailedWrites) {
+  // /dev/full opens fine and fails every write.
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "/dev/full is absent";
+  EXPECT_THROW(save_csv(sample_list(), "/dev/full"), std::runtime_error);
 }
 
 // --- Campaign checkpoints ---

@@ -127,6 +127,7 @@ struct World {
 
 // Artifact files are opened before a campaign runs so an unwritable
 // path fails in milliseconds, not after the work (core/cli_checks).
+using core::finish_artifact;
 using core::open_artifact;
 
 // Resolve the shared --checkpoint / --resume pair. A bare --resume, a
@@ -219,7 +220,9 @@ int cmd_build(World& world, const util::Args& args) {
     const core::HisparList& list = result.lists[i];
     const std::string path =
         config.weeks == 1 ? out : week_csv_path(out, list.week);
-    core::save_csv(list, path);
+    auto list_os = open_artifact("build", "out", path);
+    core::write_csv(list, *list_os);
+    finish_artifact("build", "out", path, *list_os);
     std::cout << "wrote " << list.total_urls() << " URLs / "
               << list.sets.size() << " sites to " << path << "  ("
               << result.weeks[i].queries_billed << " queries, $"
@@ -238,22 +241,27 @@ int cmd_build(World& world, const util::Args& args) {
     std::cout << obs::render_listbuild_report_text(report);
   if (churn_os != nullptr) {
     core::write_churn_csv(*churn_os, result.lists);
+    finish_artifact("build", "churn-out", churn_out, *churn_os);
     std::cout << "churn -> " << churn_out << "\n";
   }
   if (ledger_os != nullptr) {
     core::write_cost_ledger_csv(*ledger_os, result.weeks);
+    finish_artifact("build", "ledger-out", ledger_out, *ledger_os);
     std::cout << "cost ledger -> " << ledger_out << "\n";
   }
   if (metrics_os != nullptr) {
     campaign.telemetry().metrics.write_json(*metrics_os);
+    finish_artifact("build", "metrics-out", metrics_out, *metrics_os);
     std::cout << "metrics -> " << metrics_out << "\n";
   }
   if (trace_os != nullptr) {
     obs::write_chrome_trace(*trace_os, campaign.telemetry().spans);
+    finish_artifact("build", "trace-out", trace_out, *trace_os);
     std::cout << "trace -> " << trace_out << "\n";
   }
   if (report_os != nullptr) {
     obs::write_listbuild_report_json(*report_os, report);
+    finish_artifact("build", "report-out", report_out, *report_os);
     std::cout << "report -> " << report_out << "\n";
   }
   return 0;
@@ -289,7 +297,9 @@ int cmd_harden(World& world, const util::Args& args) {
   config.urls_per_site = static_cast<std::size_t>(args.get_int("urls", 20));
   const auto hardened = core::harden(lists, config);
   const std::string out = args.get("out", "hispar_hardened.csv");
-  core::save_csv(hardened, out);
+  auto out_os = open_artifact("harden", "out", out);
+  core::write_csv(hardened, *out_os);
+  finish_artifact("harden", "out", out, *out_os);
   std::cout << "hardened list: " << hardened.sets.size() << " sites, "
             << hardened.total_urls() << " URLs -> " << out << "\n";
   return 0;
@@ -446,21 +456,25 @@ int cmd_measure(World& world, const util::Args& args) {
   const auto& sites = per_vantage.front();
 
   core::write_measure_csv(*out_os, sites);
+  finish_artifact("measure", "out", out, *out_os);
   std::cout << "measured " << sites.size() << " sites -> " << out << "\n";
   for (std::size_t v = 1; v < per_vantage.size(); ++v) {
     const std::string path = vantage_csv_path(out, v);
     auto vantage_os = open_artifact("measure", "out", path);
     core::write_measure_csv(*vantage_os, per_vantage[v]);
+    finish_artifact("measure", "out", path, *vantage_os);
     std::cout << "vantage " << v << " (" << profiles[v].name << ") -> "
               << path << "\n";
   }
   if (session_os != nullptr) {
     core::write_measure_csv(*session_os, warm_sites);
+    finish_artifact("measure", "session-out", session_out, *session_os);
     std::cout << "sessions -> " << session_out << "\n";
   }
   if (warm_hits_os != nullptr) {
     core::write_warm_hits_csv(*warm_hits_os, warm_sites,
                               session_campaign->cache_stats());
+    finish_artifact("measure", "warm-hits-out", warm_hits_out, *warm_hits_os);
     std::cout << "warm hits -> " << warm_hits_out << "\n";
   }
 
@@ -495,10 +509,12 @@ int cmd_measure(World& world, const util::Args& args) {
   }
   if (metrics_os != nullptr) {
     telemetry.metrics.write_json(*metrics_os);
+    finish_artifact("measure", "metrics-out", metrics_out, *metrics_os);
     std::cout << "metrics -> " << metrics_out << "\n";
   }
   if (trace_os != nullptr) {
     obs::write_chrome_trace(*trace_os, telemetry.spans);
+    finish_artifact("measure", "trace-out", trace_out, *trace_os);
     std::cout << "trace -> " << trace_out << "\n";
   }
   if (report_os != nullptr) {
@@ -508,10 +524,12 @@ int cmd_measure(World& world, const util::Args& args) {
       obs::write_report_json(*report_os, *run_report);
     else
       obs::write_vantage_report_json(*report_os, *vantage_report);
+    finish_artifact("measure", "report-out", report_out, *report_os);
     std::cout << "report -> " << report_out << "\n";
   }
   if (consensus_os != nullptr) {
     core::write_vantage_consensus_csv(*consensus_os, per_vantage);
+    finish_artifact("measure", "consensus-out", consensus_out, *consensus_os);
     std::cout << "consensus -> " << consensus_out << "\n";
   }
 
