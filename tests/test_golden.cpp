@@ -429,10 +429,10 @@ TEST(GoldenArtifacts, MultiVantageOutputsArePinned) {
 // the warm DNS/connection carryover all at once.
 constexpr std::uint64_t kGoldenSessionCsv = 0xad4f9187625b0606ull;
 constexpr std::uint64_t kGoldenSessionWarmHits = 0x4573332e8b782ae3ull;
-constexpr std::uint64_t kGoldenSessionMetrics = 0xfb077f813d6fd0fbull;
-constexpr std::uint64_t kGoldenSessionTrace = 0xaeb3129f8c3bd7bfull;
+constexpr std::uint64_t kGoldenSessionMetrics = 0x7fecc34a2bb313e7ull;
+constexpr std::uint64_t kGoldenSessionTrace = 0xf62cba96ba07959dull;
 constexpr std::uint64_t kGoldenSessionReport = 0x3773e4caa2e599ceull;
-constexpr std::uint64_t kGoldenSessionCheckpoint = 0x8d12309446c06b61ull;
+constexpr std::uint64_t kGoldenSessionCheckpoint = 0xd724138d3def54beull;
 
 struct SessionArtifacts {
   std::string csv;        // warm session observations

@@ -410,6 +410,42 @@ TEST_F(SessionCampaignTest, JobsNeverChangeSessionArtifactBytes) {
   }
 }
 
+TEST_F(SessionCampaignTest, SessionLoadTelemetryMatchesTheColdCampaigns) {
+  // Sessions and the cold campaign fetch through one path, so a session
+  // run reports the same loader counters as a cold run over the same
+  // list, and its load spans carry the same arguments.
+  auto config = session_config();
+  config.base.observability.enabled = true;
+  core::SessionCampaign sessions(web_, config);
+  sessions.run(list_);
+  core::MeasurementCampaign cold(web_, config.base);
+  cold.run(list_);
+
+  const auto loader_counters = [](const obs::RunTelemetry& telemetry) {
+    std::set<std::string> names;
+    for (const auto& [name, value] : telemetry.metrics.counters())
+      if (name.rfind("loader.", 0) == 0) names.insert(name);
+    return names;
+  };
+  const auto session_names = loader_counters(sessions.telemetry());
+  EXPECT_EQ(session_names, loader_counters(cold.telemetry()));
+  EXPECT_EQ(session_names.count("loader.x_cache_hits"), 1u);
+
+  const auto load_args = [](const obs::RunTelemetry& telemetry) {
+    std::set<std::vector<std::string>> shapes;
+    for (const auto& span : telemetry.spans) {
+      if (span.cat != "load") continue;
+      std::vector<std::string> keys;
+      for (const auto& [key, value] : span.args) keys.push_back(key);
+      shapes.insert(keys);
+    }
+    return shapes;
+  };
+  const auto session_shapes = load_args(sessions.telemetry());
+  EXPECT_EQ(session_shapes, load_args(cold.telemetry()));
+  EXPECT_EQ(session_shapes.size(), 1u);
+}
+
 TEST_F(SessionCampaignTest, CacheCapacityNeverLeaksIntoTheStreamKeys) {
   // The other half of the satellite contract: every fault/chaos/load
   // stream is keyed by (seed, domain, page, attempt) — never by the
