@@ -1,7 +1,6 @@
 #include "core/list_build.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -23,11 +22,6 @@ namespace {
 // and resumed weeks need no clock restoration.
 constexpr double kWeekSeconds = 604800.0;
 
-// Retry backoff doubles per attempt but is capped at this multiple of
-// retry_backoff_s; computed with exp2 on a clamped exponent so a large
-// --max-retries can never shift into undefined behaviour.
-constexpr double kMaxRetryBackoffScale = 32.0;
-
 }  // namespace
 
 std::string_view to_string(CandidateStatus status) {
@@ -45,25 +39,11 @@ ListBuildCampaign::ShardWeekState::ShardWeekState(
     const search::SearchEngineConfig& engine_config,
     const obs::ObsOptions& observability, std::size_t shard_id,
     double clock_start_s)
-    : engine(web, engine_config),
-      metrics(observability.enabled ? std::make_unique<obs::MetricsRegistry>()
-                                    : nullptr),
-      tracer(observability.enabled
-                 ? std::make_unique<obs::Tracer>(observability.span_cap)
-                 : nullptr),
+    : obs::UnitRecorder(observability),
+      engine(web, engine_config),
       shard_id(shard_id),
       clock_start_s(clock_start_s),
       clock_s(clock_start_s) {}
-
-obs::ShardTelemetry ListBuildCampaign::ShardWeekState::take_telemetry() {
-  obs::ShardTelemetry telemetry;
-  if (metrics != nullptr) telemetry.metrics = std::move(*metrics);
-  if (tracer != nullptr) {
-    telemetry.spans = tracer->ordered_spans();
-    telemetry.spans_dropped = tracer->dropped();
-  }
-  return telemetry;
-}
 
 ListBuildCampaign::ListBuildCampaign(const web::SyntheticWeb& web,
                                      const toplist::TopListFactory& toplists,
@@ -122,10 +102,7 @@ SiteCandidate ListBuildCampaign::examine_rank(ShardWeekState& state,
   int attempts = 0;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     if (attempt > 0)  // backoff gap before the retry, on the shard clock
-      state.clock_s +=
-          config_.retry_backoff_s *
-          std::min(kMaxRetryBackoffScale,
-                   std::exp2(static_cast<double>(std::min(attempt - 1, 62))));
+      state.clock_s += retry_backoff_s(config_.retry_backoff_s, attempt - 1);
 
     // An open search breaker fast-fails the attempt: no API call, no
     // billed query, no randomness. The backoff gap above still runs on
@@ -428,7 +405,7 @@ ListBuildWeekRecord ListBuildCampaign::build_week(std::uint64_t week) {
         span.tid = static_cast<std::uint32_t>(shard) + 1;
         state.tracer->record(std::move(span));
       }
-      record.telemetry.emplace(shard, state.take_telemetry());
+      record.telemetry.emplace(shard, state.take());
     }
   }
   return record;
@@ -481,33 +458,16 @@ ListBuildResult ListBuildCampaign::run() {
   telemetry_ = obs::RunTelemetry{};
   telemetry_.enabled = config_.observability.enabled;
   if (config_.observability.enabled) {
-    // Merge in (week, shard) order: counters/histograms sum, gauges
-    // become "week.<w>.shard.<id>.<name>", spans concatenate behind one
-    // campaign-level span spanning the whole refresh loop.
-    double end_s = 0.0;
-    for (const auto& record : records) {
-      for (const auto& [shard, telemetry] : record.telemetry) {
-        if (telemetry.empty()) continue;
-        telemetry_.metrics.merge_from(
-            telemetry.metrics, "week." + std::to_string(record.week) +
-                                   ".shard." + std::to_string(shard) + ".");
-        telemetry_.spans.insert(telemetry_.spans.end(),
-                                telemetry.spans.begin(),
-                                telemetry.spans.end());
-        telemetry_.spans_dropped += telemetry.spans_dropped;
-        end_s = std::max(end_s, telemetry.metrics.gauge_or("clock_end_s"));
-      }
-    }
-    obs::TraceSpan campaign_span;
-    campaign_span.name = "list build";
-    campaign_span.cat = "campaign";
-    campaign_span.ts_us = 0;
-    campaign_span.dur_us = obs::to_trace_us(end_s);
-    campaign_span.tid = 0;
-    telemetry_.spans.insert(telemetry_.spans.begin(),
-                            std::move(campaign_span));
-    telemetry_.metrics.counter("trace.spans_dropped") =
-        telemetry_.spans_dropped;
+    // Fold in (week, shard) order, gauges prefixed
+    // "week.<w>.shard.<id>.", behind one campaign-level span spanning
+    // the whole refresh loop.
+    std::vector<obs::TelemetryUnit> units;
+    for (const auto& record : records)
+      for (const auto& [shard, telemetry] : record.telemetry)
+        units.push_back({&telemetry, "week." + std::to_string(record.week) +
+                                         ".shard." + std::to_string(shard) +
+                                         "."});
+    obs::fold_unit_telemetry(telemetry_, units, "list build");
   }
 
   ListBuildResult result;

@@ -190,7 +190,7 @@ class ListBuildCampaign {
   // and the candidates it produced. State persists across the week's
   // waves — pagination warmth is per (shard, week), like the
   // measurement campaign's cache warmth is per shard.
-  struct ShardWeekState {
+  struct ShardWeekState : obs::UnitRecorder {
     ShardWeekState(const web::SyntheticWeb& web,
                    const search::SearchEngineConfig& engine_config,
                    const obs::ObsOptions& observability, std::size_t shard_id,
@@ -199,8 +199,6 @@ class ListBuildCampaign {
     ShardWeekState& operator=(const ShardWeekState&) = delete;
 
     search::SearchEngine engine;
-    std::unique_ptr<obs::MetricsRegistry> metrics;
-    std::unique_ptr<obs::Tracer> tracer;
     std::size_t shard_id = 0;
     double clock_start_s = 0.0;
     double clock_s = 0.0;
@@ -214,8 +212,6 @@ class ListBuildCampaign {
     // kind that most recently tripped this shard's search breaker.
     net::SearchFaultKind last_failure_kind =
         net::SearchFaultKind::kQueryTimeout;
-
-    obs::ShardTelemetry take_telemetry();
   };
 
   ListBuildWeekRecord build_week(std::uint64_t week);

@@ -6,6 +6,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "core/journal.h"
 #include "core/parallel.h"
@@ -70,11 +71,6 @@ CampaignSummary summarize_campaign(const std::vector<SiteObservation>& sites) {
 
 namespace {
 
-// Page-retry backoff doubles per attempt but never past this multiple
-// of retry_backoff_s (and the exponent is clamped before exp2 — the
-// old `1 << attempt` was undefined behaviour at attempt >= 31).
-constexpr double kMaxRetryBackoffScale = 32.0;
-
 cdn::CdnHierarchyConfig cdn_config_for(const CampaignConfig& config) {
   cdn::CdnHierarchyConfig hierarchy;
   hierarchy.edge_pin = config.cdn_edge_pin;
@@ -83,33 +79,34 @@ cdn::CdnHierarchyConfig cdn_config_for(const CampaignConfig& config) {
 
 }  // namespace
 
-MeasurementCampaign::ShardState::ShardState(const web::SyntheticWeb& web,
-                                            const CampaignConfig& config,
-                                            std::size_t shard_id)
-    : latency(config.latency),
+FetchContext::FetchContext(const web::SyntheticWeb& web, CampaignConfig config)
+    : config(std::move(config)),
+      adblock(browser::AdBlocker::easylist_lite()),
+      hb(browser::HbDetector::standard()),
+      detector(web.cdn_registry()),
+      chaos_plan(this->config.chaos, this->config.seed) {}
+
+ShardState::ShardState(const web::SyntheticWeb& web,
+                       const CampaignConfig& config, std::size_t shard_id,
+                       util::Rng rng)
+    : obs::UnitRecorder(config.observability),
+      latency(config.latency),
       cdn(web.cdn_registry(), latency, cdn_config_for(config)),
       resolver(config.resolver, latency),
       doh(config.use_doh
               ? std::make_unique<net::DohResolver>(resolver, config.doh)
               : nullptr),
-      metrics(config.observability.enabled
-                  ? std::make_unique<obs::MetricsRegistry>()
-                  : nullptr),
-      tracer(config.observability.enabled
-                 ? std::make_unique<obs::Tracer>(config.observability.span_cap)
-                 : nullptr),
       shard_id(shard_id),
       loader(browser::LoaderEnv{&latency, &web.cdn_registry(), &cdn,
                                 &resolver, config.vantage,
                                 obs_handle(config), doh.get(),
                                 config.cdn_edge_pin}),
-      rng(util::Rng(config.seed).fork(static_cast<std::uint64_t>(shard_id))) {
+      rng(rng) {
   resolver.set_metrics(metrics.get());
   cdn.set_metrics(metrics.get());
 }
 
-obs::ShardObs MeasurementCampaign::ShardState::obs_handle(
-    const CampaignConfig& config) const {
+obs::ShardObs ShardState::obs_handle(const CampaignConfig& config) const {
   obs::ShardObs handle;
   handle.metrics = metrics.get();
   handle.trace = tracer.get();
@@ -118,25 +115,12 @@ obs::ShardObs MeasurementCampaign::ShardState::obs_handle(
   return handle;
 }
 
-obs::ShardTelemetry MeasurementCampaign::ShardState::take_telemetry() {
-  obs::ShardTelemetry telemetry;
-  if (metrics != nullptr) telemetry.metrics = std::move(*metrics);
-  if (tracer != nullptr) {
-    telemetry.spans = tracer->ordered_spans();
-    telemetry.spans_dropped = tracer->dropped();
-  }
-  return telemetry;
-}
-
 MeasurementCampaign::MeasurementCampaign(const web::SyntheticWeb& web,
                                          CampaignConfig config)
     : web_(&web),
-      config_(config),
-      adblock_(browser::AdBlocker::easylist_lite()),
-      hb_(browser::HbDetector::standard()),
-      detector_(web.cdn_registry()),
-      chaos_plan_(config_.chaos, config_.seed),
-      local_(web, config_, 0) {}
+      context_(web, std::move(config)),
+      local_(web, context_.config, 0,
+             util::Rng(context_.config.seed).fork(std::uint64_t{0})) {}
 
 const web::WebSite& MeasurementCampaign::require_site(
     const std::string& domain) const {
@@ -146,31 +130,33 @@ const web::WebSite& MeasurementCampaign::require_site(
   return *site;
 }
 
-MeasurementCampaign::PageFetch MeasurementCampaign::fetch_page(
-    ShardState& state, const web::WebSite& site, std::size_t page_index,
-    int load_ordinal) {
-  // Materialize through the shard's page cache: the 10 landing rounds
+PageFetch fetch_page(const FetchContext& context, ShardState& state,
+                     const web::WebSite& site, std::size_t page_index,
+                     int load_ordinal, browser::SessionState* session) {
+  const CampaignConfig& config = context.config;
+  // Materialize through the unit's page cache: the 10 landing rounds
   // (and page-level retries below) reuse one generated WebPage. The
   // reference stays valid across this fetch — only another page of
   // another (site, index) can evict it.
   const web::WebPage& page = state.pages.get(site, page_index);
-  const bool faulty = config_.fault_profile.enabled();
-  const bool chaotic = chaos_plan_.enabled();
+  const bool faulty = config.fault_profile.enabled();
+  const bool chaotic = context.chaos_plan.enabled();
   const int max_attempts =
-      (faulty || chaotic) ? 1 + std::max(0, config_.max_page_retries) : 1;
+      (faulty || chaotic) ? 1 + std::max(0, config.max_page_retries) : 1;
 
   PageFetch fetch;
   fetch.outcome.page_index = page_index;
   fetch.outcome.load_ordinal = load_ordinal;
 
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    browser::LoadOptions options = config_.load_options;
+    browser::LoadOptions options = config.load_options;
     options.start_time_s = state.clock_s;
     // The page watchdog applies to every fetch — a fault-free
     // pathological page must not run unbounded (goldens are unaffected:
     // their synthetic pages finish well inside the default 60 s).
-    options.page_timeout_ms = config_.page_timeout_s * 1000.0;
-    state.clock_s += config_.inter_fetch_gap_s;
+    options.page_timeout_ms = config.page_timeout_s * 1000.0;
+    options.session = session;
+    state.clock_s += config.inter_fetch_gap_s;
 
     // Attempt 0 uses exactly the pre-fault RNG keying, so a fault-free
     // campaign replays the historical streams bit for bit; retries get
@@ -187,7 +173,7 @@ MeasurementCampaign::PageFetch MeasurementCampaign::fetch_page(
     std::optional<net::FaultInjector> injector;
     if (faulty) {
       injector.emplace(
-          config_.fault_profile,
+          config.fault_profile,
           state.rng.fork("faults")
               .fork(site.domain())
               .fork(page_index)
@@ -201,7 +187,7 @@ MeasurementCampaign::PageFetch MeasurementCampaign::fetch_page(
     std::optional<net::ChaosInjector> chaos_injector;
     if (chaotic) {
       chaos_injector.emplace(
-          chaos_plan_,
+          context.chaos_plan,
           state.rng.fork("chaos-roll")
               .fork(site.domain())
               .fork(page_index)
@@ -283,19 +269,15 @@ MeasurementCampaign::PageFetch MeasurementCampaign::fetch_page(
     }
 
     if (result.status != browser::LoadStatus::kFailed) {
-      fetch.metrics = extract_metrics(state, page, result);
+      fetch.metrics = extract_page_metrics(
+          page, result, state.detect, context.adblock, context.hb,
+          context.detector, config.wait_sample_cap, state.metrics.get());
       fetch.usable = true;
       return fetch;
     }
-    // Failed load: back off on the shard clock before re-fetching.
-    // exp2 on a clamped double replaces the old `1 << attempt` (UB for
-    // attempt >= 31 once --max-retries is cranked up); the 32x ceiling
-    // bounds the pause either way.
+    // Failed load: back off on the unit clock before re-fetching.
     if (attempt + 1 < max_attempts)
-      state.clock_s += config_.retry_backoff_s *
-                       std::min(kMaxRetryBackoffScale,
-                                std::exp2(static_cast<double>(
-                                    std::min(attempt, 62))));
+      state.clock_s += retry_backoff_s(config.retry_backoff_s, attempt);
   }
   return fetch;  // permanently failed (usable == false)
 }
@@ -433,14 +415,6 @@ PageMetrics extract_page_metrics(const web::WebPage& page,
   return m;
 }
 
-PageMetrics MeasurementCampaign::extract_metrics(
-    ShardState& state, const web::WebPage& page,
-    const browser::LoadResult& result) const {
-  return extract_page_metrics(page, result, state.detect, adblock_, hb_,
-                              detector_, config_.wait_sample_cap,
-                              state.metrics.get());
-}
-
 PageMetrics MeasurementCampaign::median_metrics(
     const std::vector<PageMetrics>& loads) {
   if (loads.empty())
@@ -530,12 +504,12 @@ void MeasurementCampaign::run_shard(ShardState& state, const HisparList& list,
   // Landing pages: `landing_loads` interleaved rounds over the shard's
   // sites (the paper shuffles and iterates the landing set 10 times,
   // §3.1; here each shard is one vantage point running that protocol).
-  for (int round = 0; round < config_.landing_loads; ++round) {
+  for (int round = 0; round < context_.config.landing_loads; ++round) {
     for (std::size_t i = 0; i < positions.size(); ++i) {
       const UrlSet& set = list.sets[positions[i]];
       const web::WebSite& site = require_site(set.domain);
       const double fetch_start_s = state.clock_s;
-      PageFetch fetch = fetch_page(state, site, 0, round);
+      PageFetch fetch = fetch_page(context_, state, site, 0, round);
       note_window(i, fetch_start_s);
       ++fetches;
       SiteObservation& observation = observations[positions[i]];
@@ -560,7 +534,7 @@ void MeasurementCampaign::run_shard(ShardState& state, const HisparList& list,
       const web::WebSite& site = require_site(set.domain);
       const double fetch_start_s = state.clock_s;
       PageFetch fetch =
-          fetch_page(state, site, set.page_indices[page_pos], 0);
+          fetch_page(context_, state, site, set.page_indices[page_pos], 0);
       note_window(i, fetch_start_s);
       ++fetches;
       SiteObservation& observation = observations[positions[i]];
@@ -686,11 +660,12 @@ void validate_shard_count(const std::string& context, std::size_t shards,
 
 std::uint64_t MeasurementCampaign::checkpoint_digest(
     const HisparList& list) const {
-  return campaign_config_digest(config_, list);
+  return campaign_config_digest(context_.config, list);
 }
 
 std::vector<SiteObservation> MeasurementCampaign::run(const HisparList& list) {
-  const std::size_t shard_count = std::max<std::size_t>(1, config_.shards);
+  const std::size_t shard_count =
+      std::max<std::size_t>(1, context_.config.shards);
   const auto shards = shard_indices(list, shard_count);
   std::vector<SiteObservation> observations(list.sets.size());
   // Per-shard telemetry lands in disjoint slots (no synchronization
@@ -704,7 +679,7 @@ std::vector<SiteObservation> MeasurementCampaign::run(const HisparList& list) {
   std::vector<std::vector<net::BreakerSet::Record>> shard_breakers(
       shard_count);
   telemetry_ = obs::RunTelemetry{};
-  telemetry_.enabled = config_.observability.enabled;
+  telemetry_.enabled = context_.config.observability.enabled;
 
   // Checkpointing: a shard is the unit of isolated simulation state, so
   // it is also the unit of resume — a shard either completed (its
@@ -718,7 +693,7 @@ std::vector<SiteObservation> MeasurementCampaign::run(const HisparList& list) {
                             if_present(shard_breakers[shard]));
   };
   CheckpointJournal journal("campaign", kCampaignCheckpointTag,
-                            config_.checkpoint_path);
+                            context_.config.checkpoint_path);
   if (auto checkpoint = journal.open(
           read_checkpoint, [&] { return checkpoint_digest(list); },
           "campaign (seed/shards/profile/list changed)")) {
@@ -743,7 +718,7 @@ std::vector<SiteObservation> MeasurementCampaign::run(const HisparList& list) {
   // Each worker builds its shard's state on its own thread and writes
   // only to that shard's list positions, so no synchronization is needed
   // beyond the joins in for_each_unit (and the journal's append lock).
-  for_each_unit(shard_count, config_.jobs, [&](std::size_t shard) {
+  for_each_unit(shard_count, context_.config.jobs, [&](std::size_t shard) {
     if (shard_done[shard]) return;
     ShardRun result =
         run_one_shard(shard, list, shards[shard], observations);
@@ -752,8 +727,9 @@ std::vector<SiteObservation> MeasurementCampaign::run(const HisparList& list) {
     journal.append([&](std::ostream& out) { write_shard(out, shard); });
   });
 
-  if (config_.observability.enabled)
-    merge_campaign_telemetry(telemetry_, shard_telemetry);
+  if (context_.config.observability.enabled)
+    obs::fold_unit_telemetry(telemetry_, shard_units(shard_telemetry),
+                             "campaign");
   return observations;
 }
 
@@ -763,39 +739,22 @@ MeasurementCampaign::ShardRun MeasurementCampaign::run_one_shard(
     std::vector<SiteObservation>& observations) {
   ShardRun result;
   if (positions.empty()) return result;
-  ShardState state(*web_, config_, shard);
+  ShardState state(*web_, context_.config, shard,
+                   util::Rng(context_.config.seed)
+                       .fork(static_cast<std::uint64_t>(shard)));
   run_shard(state, list, positions, observations);
-  if (config_.observability.enabled) result.telemetry = state.take_telemetry();
+  if (context_.config.observability.enabled) result.telemetry = state.take();
   if (!state.breakers.empty()) result.breakers = state.breakers.records();
   return result;
 }
 
-void merge_campaign_telemetry(obs::RunTelemetry& telemetry,
-                              const std::vector<obs::ShardTelemetry>& shards) {
-  // Merge in shard-id order: counters/histograms sum, gauges become
-  // "shard.<id>.<name>", spans concatenate behind one campaign-level
-  // span whose duration is the slowest shard's virtual clock.
-  double campaign_end_s = 0.0;
-  for (std::size_t shard = 0; shard < shards.size(); ++shard) {
-    const obs::ShardTelemetry& shard_telemetry = shards[shard];
-    if (shard_telemetry.empty()) continue;
-    telemetry.metrics.merge_from(shard_telemetry.metrics,
-                                 "shard." + std::to_string(shard) + ".");
-    telemetry.spans.insert(telemetry.spans.end(),
-                           shard_telemetry.spans.begin(),
-                           shard_telemetry.spans.end());
-    telemetry.spans_dropped += shard_telemetry.spans_dropped;
-    campaign_end_s = std::max(
-        campaign_end_s, shard_telemetry.metrics.gauge_or("clock_end_s"));
-  }
-  obs::TraceSpan campaign_span;
-  campaign_span.name = "campaign";
-  campaign_span.cat = "campaign";
-  campaign_span.ts_us = 0;
-  campaign_span.dur_us = obs::to_trace_us(campaign_end_s);
-  campaign_span.tid = 0;
-  telemetry.spans.insert(telemetry.spans.begin(), std::move(campaign_span));
-  telemetry.metrics.counter("trace.spans_dropped") = telemetry.spans_dropped;
+std::vector<obs::TelemetryUnit> shard_units(
+    const std::vector<obs::ShardTelemetry>& shards) {
+  std::vector<obs::TelemetryUnit> units;
+  units.reserve(shards.size());
+  for (std::size_t shard = 0; shard < shards.size(); ++shard)
+    units.push_back({&shards[shard], "shard." + std::to_string(shard) + "."});
+  return units;
 }
 
 SiteObservation MeasurementCampaign::measure_site(
@@ -806,9 +765,9 @@ SiteObservation MeasurementCampaign::measure_site(
   observation.category = site.profile().category;
 
   std::vector<PageMetrics> loads;
-  loads.reserve(static_cast<std::size_t>(config_.landing_loads));
-  for (int round = 0; round < config_.landing_loads; ++round) {
-    PageFetch fetch = fetch_page(local_, site, 0, round);
+  loads.reserve(static_cast<std::size_t>(context_.config.landing_loads));
+  for (int round = 0; round < context_.config.landing_loads; ++round) {
+    PageFetch fetch = fetch_page(context_, local_, site, 0, round);
     observation.total_retries += fetch.outcome.attempts - 1;
     observation.outcomes.push_back(fetch.outcome);
     if (fetch.usable) loads.push_back(std::move(fetch.metrics));
@@ -820,7 +779,7 @@ SiteObservation MeasurementCampaign::measure_site(
 
   observation.internals.reserve(internal_pages.size());
   for (std::size_t page : internal_pages) {
-    PageFetch fetch = fetch_page(local_, site, page, 0);
+    PageFetch fetch = fetch_page(context_, local_, site, page, 0);
     observation.total_retries += fetch.outcome.attempts - 1;
     observation.outcomes.push_back(fetch.outcome);
     if (fetch.usable)

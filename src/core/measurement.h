@@ -35,6 +35,7 @@
 #include "obs/obs.h"
 #include "obs/report.h"
 #include "util/intern.h"
+#include "util/rng.h"
 #include "web/generator.h"
 
 namespace hispar::core {
@@ -245,6 +246,82 @@ PageMetrics extract_page_metrics(const web::WebPage& page,
                                  std::size_t wait_sample_cap,
                                  obs::MetricsRegistry* metrics);
 
+// The read-only half of a campaign that every unit fetches through:
+// its configuration and the detectors and outage plan built from it.
+// Built once per campaign and shared by all workers (the detectors'
+// classify/analyze paths are const and stateless, and the plan's window
+// queries are pure).
+struct FetchContext {
+  FetchContext(const web::SyntheticWeb& web, CampaignConfig config);
+
+  CampaignConfig config;
+  browser::AdBlocker adblock;
+  browser::HbDetector hb;
+  cdn::CdnDetector detector;
+  // config.chaos materialized against config.seed.
+  net::OutagePlan chaos_plan;
+};
+
+// Everything one unit mutates while it measures: the full network/CDN
+// simulation substrate, its telemetry, a virtual clock from 0, and the
+// root of its random streams. A unit is one shard of a cold campaign
+// (one vantage point; cache warmth never crosses shards) or one
+// browsing session. `shard_id` is the shard id or the session's list
+// position; the unit's trace thread id is shard_id + 1.
+struct ShardState : obs::UnitRecorder {
+  // `rng` is the stream root: the cold campaign forks the seed by shard
+  // id, sessions fork it by "session". fetch_page keys every stream off
+  // it by (domain, page, ordinal, attempt).
+  ShardState(const web::SyntheticWeb& web, const CampaignConfig& config,
+             std::size_t shard_id, util::Rng rng);
+  ShardState(const ShardState&) = delete;
+  ShardState& operator=(const ShardState&) = delete;
+
+  obs::ShardObs obs_handle(const CampaignConfig& config) const;
+
+  net::LatencyModel latency;
+  cdn::CdnHierarchy cdn;
+  net::CachingResolver resolver;
+  // DoH wrapper around `resolver`; null unless config.use_doh.
+  // Declared before `loader` so the loader env can point at it.
+  std::unique_ptr<net::DohResolver> doh;
+  std::size_t shard_id = 0;
+  browser::PageLoader loader;
+  util::Rng rng;
+  double clock_s = 0.0;
+  // Defense-layer circuit breakers, one per blast radius this unit
+  // touched. Untouched (and never consulted) unless the campaign runs
+  // under a chaos schedule, so chaos-free runs stay bit-identical.
+  net::BreakerSet breakers;
+  // Page materialization cache and detector memos. Both are pure
+  // caches: attaching or clearing them never changes campaign output.
+  // The page cache is deliberately NOT wired into the unit's metrics
+  // registry — its counters would alter the exported telemetry bytes,
+  // and the campaign's contract is that this optimization pass leaves
+  // every artifact bit-identical (tests/test_golden.cpp pins this).
+  web::PageCache pages;
+  DetectionScratch detect;
+};
+
+// One campaign-level page fetch and how it ended.
+struct PageFetch {
+  PageMetrics metrics;
+  FetchOutcome outcome;
+  bool usable = false;  // metrics are meaningful (load did not fail)
+};
+
+// The §3.1 fetch of one page, shared by the cold campaign and the
+// session engine so both fetch and classify identically: up to
+// 1 + max_page_retries load attempts (retries only under a fault
+// profile or chaos schedule) with backoff gaps on the unit clock, each
+// attempt recorded in the unit's telemetry, and the metrics of the
+// first usable load derived from its HAR. `session` is the warm client
+// state threaded into every load (null: a cold browser profile).
+PageFetch fetch_page(const FetchContext& context, ShardState& state,
+                     const web::WebSite& site, std::size_t page_index,
+                     int load_ordinal,
+                     browser::SessionState* session = nullptr);
+
 class MeasurementCampaign {
  public:
   MeasurementCampaign(const web::SyntheticWeb& web, CampaignConfig config = {});
@@ -302,65 +379,6 @@ class MeasurementCampaign {
                          std::vector<SiteObservation>& observations);
 
  private:
-  // Everything one worker mutates while measuring its shard: the full
-  // network/CDN simulation substrate, a virtual clock, and an RNG forked
-  // from the campaign seed by shard id. One shard models one vantage
-  // point; cache warmth never crosses shards.
-  struct ShardState {
-    ShardState(const web::SyntheticWeb& web, const CampaignConfig& config,
-               std::size_t shard_id);
-    ShardState(const ShardState&) = delete;
-    ShardState& operator=(const ShardState&) = delete;
-
-    net::LatencyModel latency;
-    cdn::CdnHierarchy cdn;
-    net::CachingResolver resolver;
-    // DoH wrapper around `resolver`; null unless config.use_doh.
-    // Declared before `loader` so the loader env can point at it.
-    std::unique_ptr<net::DohResolver> doh;
-    // Shard-private telemetry (null when observability is off); declared
-    // before `loader` so the loader env can point into them. The
-    // registry/tracer are heap-held so instrumentation pointers stay
-    // stable for the shard's lifetime.
-    std::unique_ptr<obs::MetricsRegistry> metrics;
-    std::unique_ptr<obs::Tracer> tracer;
-    std::size_t shard_id = 0;
-    browser::PageLoader loader;
-    util::Rng rng;
-    double clock_s = 0.0;
-    // Defense-layer circuit breakers, one per blast radius this shard
-    // touched. Untouched (and never consulted) unless the campaign runs
-    // under a chaos schedule, so chaos-free runs stay bit-identical.
-    net::BreakerSet breakers;
-    // Page materialization cache and detector memos. Both are pure
-    // caches: attaching or clearing them never changes campaign output.
-    // The page cache is deliberately NOT wired into the shard's metrics
-    // registry — its counters would alter the exported telemetry bytes,
-    // and the campaign's contract is that this optimization pass leaves
-    // every artifact bit-identical (tests/test_golden.cpp pins this).
-    web::PageCache pages;
-    DetectionScratch detect;
-
-    obs::ShardObs obs_handle(const CampaignConfig& config) const;
-    // Drains the shard's telemetry (moves the registry out).
-    obs::ShardTelemetry take_telemetry();
-  };
-
-  // One campaign-level page fetch: up to 1 + max_page_retries load
-  // attempts with backoff gaps on the shard clock.
-  struct PageFetch {
-    PageMetrics metrics;
-    FetchOutcome outcome;
-    bool usable = false;  // metrics are meaningful (load did not fail)
-  };
-
-  PageFetch fetch_page(ShardState& state, const web::WebSite& site,
-                       std::size_t page_index, int load_ordinal);
-  // Derives every metric from the HAR; hits `state.detect`'s memo
-  // tables instead of re-running the detector pattern scans, and feeds
-  // `state.metrics` when observability is on.
-  PageMetrics extract_metrics(ShardState& state, const web::WebPage& page,
-                              const browser::LoadResult& result) const;
   // Serial §3.1 fetch protocol over the sites of one shard (positions
   // into list.sets); writes each result to observations[position].
   void run_shard(ShardState& state, const HisparList& list,
@@ -369,29 +387,18 @@ class MeasurementCampaign {
   const web::WebSite& require_site(const std::string& domain) const;
 
   const web::SyntheticWeb* web_;
-  CampaignConfig config_;
-  // Detectors are built once per campaign and shared read-only by all
-  // workers (their classify/analyze paths are const and stateless).
-  browser::AdBlocker adblock_;
-  browser::HbDetector hb_;
-  cdn::CdnDetector detector_;
-  // config_.chaos materialized against config_.seed once per campaign;
-  // shared read-only by every shard (window activity queries are pure).
-  net::OutagePlan chaos_plan_;
+  FetchContext context_;
   obs::RunTelemetry telemetry_;  // merged by the last run()
   ShardState local_;  // measure_site() state
 };
 
-// Folds per-shard telemetry (indexed by shard id) into `telemetry`
-// exactly as MeasurementCampaign::run() merges its workers:
-// counters/histograms sum, gauges are prefixed "shard.<id>.", spans
-// concatenate behind one campaign-level span whose duration is the
-// slowest shard's virtual clock, and the span-drop count lands in the
-// "trace.spans_dropped" counter. Shared with VantageCampaign so a
-// vantage's telemetry assembled from (vantage, shard) units is
-// byte-identical to the inner campaign's own merge.
-void merge_campaign_telemetry(obs::RunTelemetry& telemetry,
-                              const std::vector<obs::ShardTelemetry>& shards);
+// The fold units of a campaign's per-shard telemetry (indexed by shard
+// id): gauges prefixed "shard.<id>.". MeasurementCampaign::run() and
+// VantageCampaign's cells fold these behind a span named "campaign", so
+// a vantage's telemetry assembled from (vantage, shard) cells is
+// byte-identical to the inner campaign's own.
+std::vector<obs::TelemetryUnit> shard_units(
+    const std::vector<obs::ShardTelemetry>& shards);
 
 // Assembles the structured run report from a campaign's observations
 // and (possibly disabled/empty) merged telemetry. Lives here rather

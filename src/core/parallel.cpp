@@ -1,6 +1,8 @@
 #include "core/parallel.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <exception>
 #include <thread>
 
@@ -59,6 +61,12 @@ void for_each_unit(std::size_t unit_count, std::size_t jobs,
   for (auto& worker : workers) worker.join();
   for (auto& error : errors)
     if (error) std::rethrow_exception(error);
+}
+
+double retry_backoff_s(double base_s, int attempt) {
+  return base_s *
+         std::min(kMaxRetryBackoffScale,
+                  std::exp2(static_cast<double>(std::min(attempt, 62))));
 }
 
 }  // namespace hispar::core

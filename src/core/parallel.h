@@ -9,7 +9,8 @@
 // multi-probe platforms fan out whole crawls), and worker threads pick
 // up shards. Because shard membership depends only on the domain and the
 // shard count — never on the number of workers — the merged result is
-// bit-identical for any `jobs` value.
+// bit-identical for any `jobs` value. The retry backoff every engine's
+// unit clock advances by lives here too.
 #pragma once
 
 #include <cstddef>
@@ -42,5 +43,14 @@ std::vector<std::vector<std::size_t>> shard_indices(const HisparList& list,
 // so error reporting is deterministic too.
 void for_each_unit(std::size_t unit_count, std::size_t jobs,
                    const std::function<void(std::size_t)>& fn);
+
+// Retry backoff gaps (page fetches and search queries) double per
+// attempt but never exceed this multiple of the base gap.
+constexpr double kMaxRetryBackoffScale = 32.0;
+
+// The virtual-clock gap after failed attempt `attempt` (0-based):
+// base_s * 2^attempt, capped at kMaxRetryBackoffScale * base_s. The
+// exponent is clamped before exp2, so no attempt count overflows.
+double retry_backoff_s(double base_s, int attempt);
 
 }  // namespace hispar::core

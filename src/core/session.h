@@ -90,17 +90,13 @@ class SessionCampaign {
     SiteObservation observation;
     browser::CacheStats cache;
     obs::ShardTelemetry telemetry;
-    double clock_end_s = 0.0;
   };
 
   SessionResult run_session(const HisparList& list, std::size_t position);
 
   const web::SyntheticWeb* web_;
   SessionConfig config_;
-  browser::AdBlocker adblock_;
-  browser::HbDetector hb_;
-  cdn::CdnDetector detector_;
-  net::OutagePlan chaos_plan_;
+  FetchContext context_;  // built from config_.base
   std::vector<browser::CacheStats> cache_stats_;
   obs::RunTelemetry telemetry_;
 };

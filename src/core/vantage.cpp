@@ -196,14 +196,14 @@ VantageRunResult VantageCampaign::run(const HisparList& list) {
   });
 
   // Fold each pending vantage's cells into its vantage-level telemetry,
-  // through the same merge the inner campaign's own run() uses — the
+  // through the same fold the inner campaign's own run() uses — the
   // merged bytes must match the sequential engine's exactly.
   if (config_.base.observability.enabled) {
     for (std::size_t v = 0; v < n; ++v) {
       if (vantage_done[v]) continue;
       obs::RunTelemetry merged;
-      merged.enabled = true;
-      merge_campaign_telemetry(merged, cell_telemetry[v]);
+      obs::fold_unit_telemetry(merged, shard_units(cell_telemetry[v]),
+                               "campaign");
       vantage_telemetry_[v].metrics = std::move(merged.metrics);
       vantage_telemetry_[v].spans = std::move(merged.spans);
       vantage_telemetry_[v].spans_dropped = merged.spans_dropped;

@@ -9,6 +9,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -48,14 +50,50 @@ struct ShardTelemetry {
   bool operator==(const ShardTelemetry&) const = default;
 };
 
-// The campaign-level merge: per-shard registries folded in shard-id
-// order (gauges prefixed "shard.<id>."), spans concatenated in shard-id
-// order behind one campaign-level span.
+// One unit's private registry and tracer while it runs (both null when
+// observability is off). Heap-held so the pointers instrumentation
+// sites keep stay stable for the unit's lifetime. Every engine's unit
+// state (a campaign shard, a browsing session, a list-build shard-week)
+// records through one of these.
+struct UnitRecorder {
+  explicit UnitRecorder(const ObsOptions& options);
+
+  std::unique_ptr<MetricsRegistry> metrics;
+  std::unique_ptr<Tracer> tracer;
+
+  // Drains the unit's telemetry (moves the registry out).
+  ShardTelemetry take();
+};
+
+// A campaign's merged telemetry: the unit telemetry folded by
+// fold_unit_telemetry behind one campaign-level span.
 struct RunTelemetry {
   bool enabled = false;
   MetricsRegistry metrics;
   std::vector<TraceSpan> spans;
   std::uint64_t spans_dropped = 0;
 };
+
+// One finished unit of a fold: its telemetry and the prefix its gauges
+// take in the campaign registry (e.g. "shard.3.").
+struct TelemetryUnit {
+  const ShardTelemetry* telemetry = nullptr;
+  std::string gauge_prefix;
+};
+
+// A unit's end on the campaign's virtual clock, in trace microseconds:
+// its "clock_end_s" gauge (0 when absent).
+std::int64_t clock_end_us(const ShardTelemetry& unit);
+
+// The one campaign-level fold, shared by every engine. In the given
+// order, each non-empty unit's registry merges under its gauge prefix
+// (counters and histograms sum), its spans append and its span drops
+// add up. Then one span named `campaign` (tid 0, from 0 to the latest
+// `unit_end_us`) opens the trace and the drop total lands in the
+// "trace.spans_dropped" counter. Deterministic for a fixed unit order.
+void fold_unit_telemetry(
+    RunTelemetry& run, const std::vector<TelemetryUnit>& units,
+    std::string campaign,
+    std::int64_t (*unit_end_us)(const ShardTelemetry&) = clock_end_us);
 
 }  // namespace hispar::obs
