@@ -1,6 +1,7 @@
 #include "core/cli_checks.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "core/measurement.h"
 
@@ -53,6 +54,19 @@ void validate_build_flags(const BuildFlags& flags) {
   if (flags.shards == 0)
     throw std::invalid_argument("build: --shards must be >= 1");
   validate_shard_count("build", flags.shards, flags.target_sites);
+  validate_url_budget("build", flags.urls_per_site,
+                      flags.min_internal_results);
+}
+
+void validate_url_budget(const char* cmd, std::size_t urls_per_site,
+                         std::size_t min_internal_results) {
+  if (urls_per_site <= min_internal_results)
+    throw std::invalid_argument(
+        std::string(cmd) + ": --urls (" + std::to_string(urls_per_site) +
+        ") must exceed --min-results (" +
+        std::to_string(min_internal_results) +
+        "): a site yields at most --urls - 1 internal URLs, so every site "
+        "would be dropped and the list would be empty");
 }
 
 std::unique_ptr<std::ofstream> open_artifact(const char* cmd,

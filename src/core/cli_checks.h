@@ -55,9 +55,19 @@ struct BuildFlags {
   std::uint64_t weeks = 1;
   std::size_t shards = 8;
   std::size_t target_sites = 0;
+  std::size_t urls_per_site = 20;        // --urls
+  std::size_t min_internal_results = 5;  // --min-results
 };
 
 void validate_build_flags(const BuildFlags& flags);
+
+// A list built with --urls N asks for N - 1 internal URLs per site and
+// drops every site with fewer than --min-results, so --urls at or below
+// --min-results can only yield an empty list, after scanning the whole
+// bootstrap list. Checked wherever `hispar` builds a list from those
+// flags; throws std::invalid_argument prefixed with `cmd`.
+void validate_url_budget(const char* cmd, std::size_t urls_per_site,
+                         std::size_t min_internal_results);
 
 // Opens an artifact file for truncating write, failing fast
 // (std::invalid_argument, "<cmd>: cannot write --<flag> file: <path>")

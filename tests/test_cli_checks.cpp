@@ -186,6 +186,14 @@ TEST(CliChecksTest, BuildFlagMatrix) {
       {"zero weeks", {0, 4, 10}, "--weeks must be >= 1"},
       {"zero shards", {1, 0, 10}, "--shards must be >= 1"},
       {"shards exceed target sites", {1, 11, 10}, "exceeds the site count"},
+      {"urls one above min-results", {1, 4, 10, 6, 5}, ""},
+      {"urls equal min-results", {1, 4, 10, 5, 5},
+       "--urls (5) must exceed --min-results (5)"},
+      {"urls below min-results", {1, 4, 10, 3, 5},
+       "--urls (3) must exceed --min-results (5)"},
+      {"no urls, no minimum", {1, 4, 10, 0, 0},
+       "--urls (0) must exceed --min-results (0)"},
+      {"one url, no minimum", {1, 4, 10, 1, 0}, ""},
   };
   for (const auto& row : rows) {
     if (row.error[0] == '\0') {
@@ -202,6 +210,30 @@ TEST(CliChecksTest, BuildFlagMatrix) {
           << row.name << ": got '" << e.what() << "'";
     }
   }
+}
+
+// Every command that builds a list from --urls/--min-results rejects a
+// budget that can only produce an empty list, before any scan.
+TEST(CliChecksTest, EmptyListBudgetIsRejectedByEveryListBuildingCommand) {
+  const std::string err =
+      ::testing::TempDir() + "cli_checks_empty_list_budget_stderr.txt";
+  for (const std::string cmd : {"build", "churn", "harden", "measure"}) {
+    const std::string command =
+        std::string(HISPAR_CLI_PATH) + " " + cmd +
+        " --universe 600 --sites 4 --urls 5 --shards 2 --weeks 2 --out " +
+        ::testing::TempDir() + "cli_checks_empty_list_budget.csv > /dev/null 2> " +
+        err;
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << cmd;
+    std::ifstream in(err);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find(cmd + ": --urls (5) must exceed --min-results (5)"),
+              std::string::npos)
+        << cmd << ": " << text;
+  }
+  std::remove(err.c_str());
 }
 
 // Bare --resume, conflicting --checkpoint/--resume, and a missing

@@ -14,6 +14,7 @@
 
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 
@@ -156,6 +157,54 @@ TEST(Tracer, ChromeTraceExportIsWellFormed) {
 }
 
 // --- Deterministic JSON --------------------------------------------------
+
+TEST(TelemetryFold, FoldsUnitsInOrderBehindOneCampaignSpan) {
+  obs::ObsOptions options;
+  options.enabled = true;
+  options.span_cap = 1;  // the second span of unit 1 drops the first
+  std::vector<obs::ShardTelemetry> units(3);
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    if (u == 2) continue;  // an empty unit is skipped
+    obs::UnitRecorder recorder(options);
+    recorder.metrics->counter("fetches") = 10 + u;
+    recorder.metrics->gauge("clock_end_s") = 2.5 * static_cast<double>(u + 1);
+    for (std::size_t i = 0; i <= u; ++i) {
+      obs::TraceSpan span;
+      span.name = "u" + std::to_string(u) + "." + std::to_string(i);
+      recorder.tracer->record(std::move(span));
+    }
+    units[u] = recorder.take();
+  }
+  EXPECT_EQ(units[1].spans_dropped, 1u);
+
+  std::vector<obs::TelemetryUnit> folded;
+  for (std::size_t u = 0; u < units.size(); ++u)
+    folded.push_back({&units[u], "unit." + std::to_string(u) + "."});
+  obs::RunTelemetry run;
+  obs::fold_unit_telemetry(run, folded, "test campaign");
+
+  EXPECT_EQ(run.metrics.counter_or("fetches"), 21u);
+  EXPECT_DOUBLE_EQ(run.metrics.gauge_or("unit.1.clock_end_s"), 5.0);
+  EXPECT_EQ(run.metrics.gauges().count("unit.2.clock_end_s"), 0u);
+  EXPECT_EQ(run.spans_dropped, 1u);
+  EXPECT_EQ(run.metrics.counter_or("trace.spans_dropped"), 1u);
+  ASSERT_EQ(run.spans.size(), 3u);
+  EXPECT_EQ(run.spans[0].name, "test campaign");
+  EXPECT_EQ(run.spans[0].cat, "campaign");
+  EXPECT_EQ(run.spans[0].tid, 0u);
+  EXPECT_EQ(run.spans[0].dur_us, 5'000'000);  // the latest unit clock
+  EXPECT_EQ(run.spans[1].name, "u0.0");
+  EXPECT_EQ(run.spans[2].name, "u1.1");
+
+  // A custom end reads something other than the clock gauge.
+  obs::RunTelemetry by_spans;
+  obs::fold_unit_telemetry(by_spans, folded, "by spans",
+                           [](const obs::ShardTelemetry& unit) {
+                             return static_cast<std::int64_t>(
+                                 unit.spans.size());
+                           });
+  EXPECT_EQ(by_spans.spans[0].dur_us, 1);
+}
 
 TEST(Json, EscapeRoundTripsThroughParser) {
   const std::string nasty = "quote:\" backslash:\\ newline:\n tab:\t";

@@ -98,6 +98,24 @@ TEST(ShardIndices, PartitionPreservesOrder) {
   for (bool s : seen) EXPECT_TRUE(s);  // exhaustive
 }
 
+TEST(RetryBackoff, DoublesPerAttemptUpToThirtyTwoTimesTheBase) {
+  // Page fetches and search queries share this one helper. The cap
+  // holds for any attempt count, including ones where a shift by the
+  // attempt would be undefined behaviour.
+  const struct {
+    int attempt;
+    double scale;
+  } table[] = {{0, 1.0},   {1, 2.0},   {5, 32.0},       {6, 32.0},
+               {31, 32.0}, {62, 32.0}, {1000000, 32.0}};
+  for (const auto& row : table) {
+    EXPECT_EQ(core::retry_backoff_s(15.0, row.attempt), 15.0 * row.scale)
+        << "attempt " << row.attempt;
+    EXPECT_EQ(core::retry_backoff_s(30.0, row.attempt), 30.0 * row.scale)
+        << "attempt " << row.attempt;
+  }
+  EXPECT_EQ(core::kMaxRetryBackoffScale, 32.0);
+}
+
 TEST(ForEachShard, RunsEveryShardOnceAtAnyJobCount) {
   for (std::size_t jobs : {0u, 1u, 3u, 16u}) {
     std::vector<std::atomic<int>> counts(11);

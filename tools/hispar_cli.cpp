@@ -107,7 +107,8 @@ struct World {
     engine = std::make_unique<search::SearchEngine>(*web);
   }
 
-  core::HisparList build(const util::Args& args, std::uint64_t week) {
+  core::HisparList build(const char* cmd, const util::Args& args,
+                         std::uint64_t week) {
     core::HisparBuilder builder(*web, *toplists, *engine);
     core::HisparConfig config;
     config.name = "H" + std::to_string(args.get_int("sites", 200));
@@ -116,6 +117,8 @@ struct World {
         static_cast<std::size_t>(args.get_int("urls", 20));
     config.min_internal_results =
         static_cast<std::size_t>(args.get_int("min-results", 5));
+    core::validate_url_budget(cmd, config.urls_per_site,
+                              config.min_internal_results);
     config.bootstrap = provider_from(args.get("provider", "alexa"));
     const auto list = builder.build(config, week);
     last_stats = builder.last_build_stats();
@@ -179,8 +182,10 @@ int cmd_build(World& world, const util::Args& args) {
   config.jobs = static_cast<std::size_t>(args.get_int("jobs", 1));
   config.shards = static_cast<std::size_t>(
       args.get_int("shards", static_cast<long>(config.shards)));
-  core::validate_build_flags(
-      {config.weeks, config.shards, config.list.target_sites});
+  core::validate_build_flags({config.weeks, config.shards,
+                              config.list.target_sites,
+                              config.list.urls_per_site,
+                              config.list.min_internal_results});
   config.fault_profile =
       net::SearchFaultProfile::parse(args.get("fault-profile", "none"));
   config.chaos = net::OutageSchedule::parse(args.get("chaos-profile", "none"));
@@ -272,7 +277,7 @@ int cmd_churn(World& world, const util::Args& args) {
   if (weeks < 2) throw std::invalid_argument("churn: need --weeks >= 2");
   std::vector<core::HisparList> lists;
   for (std::uint64_t week = 0; week < weeks; ++week)
-    lists.push_back(world.build(args, week));
+    lists.push_back(world.build("churn", args, week));
   util::TextTable table({"week pair", "site churn", "internal URL churn"});
   for (std::uint64_t week = 0; week + 1 < weeks; ++week) {
     table.add_row(
@@ -289,7 +294,7 @@ int cmd_harden(World& world, const util::Args& args) {
   const auto weeks = static_cast<std::uint64_t>(args.get_int("weeks", 4));
   std::vector<core::HisparList> lists;
   for (std::uint64_t week = 0; week < weeks; ++week)
-    lists.push_back(world.build(args, week));
+    lists.push_back(world.build("harden", args, week));
   core::HardeningConfig config;
   config.min_site_appearances =
       static_cast<std::size_t>(args.get_int("min-weeks", 2));
@@ -328,7 +333,7 @@ int cmd_measure(World& world, const util::Args& args) {
   const std::string list_path = args.get("list", "");
   core::HisparList list;
   if (list_path.empty()) {
-    list = world.build(args, 0);
+    list = world.build("measure", args, 0);
   } else {
     list = core::load_csv(list_path);
   }
