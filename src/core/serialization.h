@@ -174,7 +174,8 @@ struct VantageCheckpointBlock {
 
 // One durable (vantage, shard) scheduler cell. Its telemetry is the
 // shard's *raw* telemetry — the vantage-level merge happens once all of
-// a vantage's cells are in, via core::merge_campaign_telemetry.
+// a vantage's cells are in, via obs::fold_unit_telemetry over
+// core::shard_units.
 struct VantageShardBlock {
   std::size_t vantage = 0;
   std::size_t shard = 0;
