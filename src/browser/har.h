@@ -42,11 +42,14 @@ enum class XCache : std::uint8_t { kNone, kHit, kMiss };
 std::string_view to_string(XCache x_cache);
 
 // The response headers the analysis reads, as a record rather than
-// text: the serving CDN's signature header (emitted as
-// "<signature>: present") and X-Cache. A HAR consumer that wants the
-// "name: value" lines gets them, in HAR order, from for_each_line().
+// text: the serving CDN's signature header and X-Cache. A bare
+// signature name is emitted as "<signature>: present"; a signature that
+// already carries its value ("via: 1.1 google") is emitted as that
+// name and value. A HAR consumer that wants the "name: value" lines
+// gets them, in HAR order, from for_each_line().
 struct ResponseHeaders {
-  // Header name from CdnProvider::header_signature; empty = none.
+  // CdnProvider::header_signature: a header name, or "name: value";
+  // empty = none.
   std::string_view cdn_signature;
   XCache x_cache = XCache::kNone;
 
@@ -54,8 +57,13 @@ struct ResponseHeaders {
   // order (signature first, then X-Cache).
   template <typename Emit>
   void for_each_line(Emit&& emit) const {
-    if (!cdn_signature.empty())
-      emit(cdn_signature, std::string_view("present"));
+    if (!cdn_signature.empty()) {
+      const std::size_t colon = cdn_signature.find(": ");
+      if (colon == std::string_view::npos)
+        emit(cdn_signature, std::string_view("present"));
+      else
+        emit(cdn_signature.substr(0, colon), cdn_signature.substr(colon + 2));
+    }
     if (x_cache != XCache::kNone)
       emit(std::string_view("x-cache"), to_string(x_cache));
   }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "browser/loader.h"
 #include "net/faults.h"
@@ -94,6 +96,27 @@ TEST(HarJson, EscapesStrings) {
   EXPECT_NE(json.find("path\\\\back"), std::string::npos);
 }
 
+TEST(HarJson, SignatureWithAValueKeepsItsOwnValue) {
+  HarLog log = make_log();
+  log.entries[0].response_headers.cdn_signature = "via: 1.1 google";
+  log.entries[1].response_headers.cdn_signature = "x-served-by";
+  std::vector<std::string> names;
+  std::vector<std::string> values;
+  log.entries[0].response_headers.for_each_line(
+      [&](std::string_view name, std::string_view value) {
+        names.emplace_back(name);
+        values.emplace_back(value);
+      });
+  EXPECT_EQ(names, std::vector<std::string>{"via"});
+  EXPECT_EQ(values, std::vector<std::string>{"1.1 google"});
+  const std::string json = to_har_json(log);
+  EXPECT_NE(json.find("{\"name\":\"via\",\"value\":\"1.1 google\"}"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"x-served-by\",\"value\":\"present\"}"),
+            std::string::npos);
+  EXPECT_EQ(json.find("1.1 google: present"), std::string::npos);
+}
+
 // --- Exporter byte pins ---------------------------------------------
 //
 // to_har_json is the one place a HAR leaves the process as text, and
@@ -105,9 +128,12 @@ TEST(HarJson, EscapesStrings) {
 // X-Cache headers, CNAME-carrying entries, and `_error` entries from
 // every failure source (injected faults, open breakers, the watchdog).
 
-// Recorded when HAR entries still owned copies of their strings.
-constexpr std::size_t kCleanBytes = 8218;
-constexpr std::uint64_t kCleanDigest = 15858710427077473593u;
+// Recorded when HAR entries still owned copies of their strings; the
+// clean pin was re-recorded when signatures that carry a value (here
+// cloudflare's "server: cloudflare") stopped being exported with a
+// trailing ": present" (8218 bytes, digest 15858710427077473593 before).
+constexpr std::size_t kCleanBytes = 8209;
+constexpr std::uint64_t kCleanDigest = 4749255858478946274u;
 constexpr std::size_t kFaultedBytes = 6008;
 constexpr std::uint64_t kFaultedDigest = 11440053966384058641u;
 
@@ -151,6 +177,7 @@ TEST_F(HarJsonPin, CleanLoadBytesArePinned) {
   EXPECT_TRUE(has(json, "\"name\":\"x-cache\",\"value\":\"HIT\""));
   EXPECT_TRUE(has(json, "\"name\":\"x-cache\",\"value\":\"MISS\""));
   EXPECT_TRUE(has(json, "\"value\":\"present\""));  // CDN signature
+  EXPECT_TRUE(has(json, "{\"name\":\"server\",\"value\":\"cloudflare\"}"));
   std::size_t with_cname = 0;
   for (const auto& entry : result.har.entries)
     with_cname += entry.dns_cname.has_value() ? 1 : 0;
