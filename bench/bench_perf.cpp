@@ -1,6 +1,6 @@
 // Component micro-benchmarks (google-benchmark): page generation, page
 // loading, crawling, list building, the ad-block and header-bidding
-// matchers and the KS test.
+// matchers, the tagged filter pass, symbol interning and the KS test.
 // These guard the simulator's throughput — a full H1K campaign is ~29k
 // page loads and must stay in the tens of seconds.
 //
@@ -16,11 +16,13 @@
 #include "common.h"
 
 #include "browser/adblock.h"
+#include "browser/filters.h"
 #include "browser/hb_detect.h"
 #include "browser/loader.h"
 #include "core/hispar.h"
 #include "search/crawler.h"
 #include "search/engine.h"
+#include "util/intern.h"
 #include "util/ks_test.h"
 #include "web/generator.h"
 
@@ -96,11 +98,48 @@ BENCHMARK_CAPTURE(BM_AdblockMatch, first_party, kFirstPartyUrl);
 void BM_HbClassify(benchmark::State& state, const char* url) {
   const auto detector = browser::HbDetector::standard();
   const std::string text = url;
-  for (auto _ : state) benchmark::DoNotOptimize(detector.classify_url(text));
+  for (auto _ : state) benchmark::DoNotOptimize(detector.tags(text));
 }
 BENCHMARK_CAPTURE(BM_HbClassify, exchange,
                   "https://ib.adnxs.com/ut/v3/prebid");
 BENCHMARK_CAPTURE(BM_HbClassify, first_party, kFirstPartyUrl);
+
+// One pass of the shared tagged filter set: the tracker, exchange and
+// creative verdicts extract_page_metrics takes on a URL memo miss.
+void BM_UrlFlags(benchmark::State& state, const char* url) {
+  const browser::FilterSet& filters = browser::standard_filters();
+  const std::string text = url;
+  for (auto _ : state) benchmark::DoNotOptimize(filters->flags(text));
+}
+BENCHMARK_CAPTURE(BM_UrlFlags, tracker, kTrackerUrl);
+BENCHMARK_CAPTURE(BM_UrlFlags, first_party, kFirstPartyUrl);
+
+// Interning URL-shaped keys, as the detection memos do for every HAR
+// entry. `hit` re-interns keys already in the table (a memo hit);
+// `miss` interns each key on first sight, clearing the table every
+// kKeys interns, so arena stores and table growth are in the figure.
+void BM_SymbolTableIntern(benchmark::State& state, bool hit) {
+  constexpr std::size_t kKeys = 4096;
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i < kKeys; ++i)
+    keys.push_back("https://static" + std::to_string(i % 61) +
+                   ".site" + std::to_string(i % 389) +
+                   ".example/assets/js/chunk-" + std::to_string(i) +
+                   ".min.js?v=20200101");
+  util::SymbolTable table;
+  if (hit)
+    for (const std::string& key : keys) table.intern(key);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next == kKeys) {
+      next = 0;
+      if (!hit) table.clear();
+    }
+    benchmark::DoNotOptimize(table.intern(keys[next++]));
+  }
+}
+BENCHMARK_CAPTURE(BM_SymbolTableIntern, hit, true);
+BENCHMARK_CAPTURE(BM_SymbolTableIntern, miss, false);
 
 void BM_KsTest(benchmark::State& state) {
   util::Rng rng(3);

@@ -2,9 +2,7 @@
 
 namespace hispar::browser {
 
-AdBlocker AdBlocker::easylist_lite() {
-  return AdBlocker(easylist_lite_patterns());
-}
+AdBlocker AdBlocker::easylist_lite() { return AdBlocker(standard_filters()); }
 
 std::vector<std::string> AdBlocker::easylist_lite_patterns() {
   // Pattern syntax: `*literal*` globs over the full URL. The list
@@ -42,11 +40,7 @@ std::vector<std::string> AdBlocker::easylist_lite_patterns() {
 }
 
 AdBlocker::AdBlocker(std::vector<std::string> patterns)
-    : literals_(patterns) {}
-
-bool AdBlocker::matches(std::string_view url) const {
-  return literals_.any(url);
-}
+    : filters_(std::make_shared<const util::LiteralSet>(patterns)) {}
 
 std::size_t AdBlocker::count_blocked(const HarLog& log) const {
   std::size_t count = 0;

@@ -9,12 +9,14 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "browser/filters.h"
 #include "browser/har.h"
-#include "util/literal_set.h"
 
 namespace hispar::browser {
 
@@ -28,20 +30,32 @@ class AdBlocker {
   static std::vector<std::string> easylist_lite_patterns();
 
   // Every pattern must have the form `*literal*` ("the URL contains
-  // literal"); any other shape throws std::invalid_argument.
+  // literal"); any other shape throws std::invalid_argument. The
+  // patterns get a filter set of their own.
   explicit AdBlocker(std::vector<std::string> patterns);
 
   // True if a request to `url` would be blocked.
-  bool matches(std::string_view url) const;
+  bool matches(std::string_view url) const { return tags(url) != 0; }
+
+  // kTrackerTag if a request to `url` would be blocked, else 0.
+  std::uint32_t tags(std::string_view url) const {
+    return filters_->flags(url, kTrackerTag);
+  }
 
   // Number of entries in `log` that the filter list blocks (the paper's
   // "tracking requests" count).
   std::size_t count_blocked(const HarLog& log) const;
 
-  std::size_t pattern_count() const { return literals_.size(); }
+  std::size_t pattern_count() const { return filters_->size(0); }
+
+  // The compiled set this blocker views (shared by the standard
+  // detectors, see filters.h).
+  const FilterSet& filters() const { return filters_; }
 
  private:
-  util::LiteralSet literals_;  // the `*literal*` patterns, compiled
+  explicit AdBlocker(FilterSet filters) : filters_(std::move(filters)) {}
+
+  FilterSet filters_;  // the tracker list at kTrackerTag
 };
 
 }  // namespace hispar::browser

@@ -4,10 +4,7 @@
 
 namespace hispar::browser {
 
-HbDetector HbDetector::standard() {
-  return HbDetector(standard_exchange_patterns(),
-                    standard_ad_network_patterns());
-}
+HbDetector HbDetector::standard() { return HbDetector(standard_filters()); }
 
 std::vector<std::string> HbDetector::standard_exchange_patterns() {
   return {
@@ -31,20 +28,19 @@ std::vector<std::string> HbDetector::standard_ad_network_patterns() {
 
 HbDetector::HbDetector(std::vector<std::string> exchange_patterns,
                        std::vector<std::string> ad_network_patterns)
-    : exchanges_(exchange_patterns), ad_networks_(ad_network_patterns) {}
-
-std::pair<bool, bool> HbDetector::classify_url(std::string_view url) const {
-  return {exchanges_.any(url), ad_networks_.any(url)};
-}
+    : filters_(std::make_shared<const util::LiteralSet>(
+          std::vector<std::vector<std::string>>{
+              {}, std::move(exchange_patterns),
+              std::move(ad_network_patterns)})) {}
 
 HbResult HbDetector::analyze(const HarLog& log) const {
   std::set<std::string_view> exchanges;
   std::set<std::string_view> creatives;
   for (const auto& entry : log.entries) {
-    const auto [exchange, creative] = classify_url(entry.url);
-    if (exchange) exchanges.insert(entry.host);
+    const std::uint32_t url_tags = tags(entry.url);
+    if ((url_tags & kHbExchangeTag) != 0) exchanges.insert(entry.host);
     // One creative request per URL; distinct URLs ~ slots.
-    if (creative) creatives.insert(entry.url);
+    if ((url_tags & kHbCreativeTag) != 0) creatives.insert(entry.url);
   }
   HbResult result;
   result.exchanges_contacted = exchanges.size();

@@ -9,13 +9,14 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "browser/filters.h"
 #include "browser/har.h"
-#include "util/literal_set.h"
 
 namespace hispar::browser {
 
@@ -33,22 +34,32 @@ class HbDetector {
   static std::vector<std::string> standard_exchange_patterns();
   static std::vector<std::string> standard_ad_network_patterns();
 
-  // Both lists take `*literal*` patterns only (see AdBlocker).
+  // Both lists take `*literal*` patterns only (see AdBlocker); they get
+  // a filter set of their own.
   explicit HbDetector(std::vector<std::string> exchange_patterns,
                       std::vector<std::string> ad_network_patterns);
 
   HbResult analyze(const HarLog& log) const;
 
-  // Per-URL classification analyze() is built from: {matches an
-  // exchange pattern, matches an ad-network pattern}: one LiteralSet
-  // pass per list. Exposed so callers that see the same URL many times
-  // can memoize the verdict and replicate analyze()'s distinct-host /
-  // distinct-URL aggregation themselves.
-  std::pair<bool, bool> classify_url(std::string_view url) const;
+  // Per-URL classification analyze() is built from, as tag bits:
+  // kHbExchangeTag if the URL matches an exchange pattern, kHbCreativeTag
+  // if it matches an ad-network pattern; one LiteralSet pass. Exposed so
+  // callers that see the same URL many times can memoize the verdict
+  // and replicate analyze()'s distinct-host / distinct-URL aggregation
+  // themselves.
+  std::uint32_t tags(std::string_view url) const {
+    return filters_->flags(url, kHbExchangeTag | kHbCreativeTag);
+  }
+
+  // The compiled set this detector views (shared by the standard
+  // detectors, see filters.h).
+  const FilterSet& filters() const { return filters_; }
 
  private:
-  util::LiteralSet exchanges_;
-  util::LiteralSet ad_networks_;
+  explicit HbDetector(FilterSet filters) : filters_(std::move(filters)) {}
+
+  FilterSet filters_;  // exchanges at kHbExchangeTag, creatives at
+                       // kHbCreativeTag
 };
 
 }  // namespace hispar::browser

@@ -202,8 +202,9 @@ struct CampaignConfig {
 // EasyList matching, HB patterns, registrable domains). Every detector
 // is a pure function of the fields the memo key captures, so replaying
 // a cached verdict is result-identical to re-running it. A URL memo
-// miss costs three util::LiteralSet passes over the URL (tracker list,
-// HB exchanges, HB creatives); a fetch memo miss runs the CDN
+// miss costs one pass of the shared tagged filter set over the URL
+// (tracker list, HB exchanges and HB creatives at once, see
+// browser/filters.h); a fetch memo miss runs the CDN
 // detector's glob_match host/CNAME patterns. Tables live per worker —
 // like the resolver cache — and their size is bounded by the worker's
 // distinct URLs/hosts/header tuples.
@@ -215,7 +216,8 @@ struct DetectionScratch {
   util::SymbolTable fetch_keys;
   std::vector<char> via_cdn;
   std::string key_buf;
-  // URL -> {EasyList block, HB exchange, HB ad creative} bit flags.
+  // URL -> browser::FilterTag bits {EasyList block, HB exchange, HB ad
+  // creative}.
   util::SymbolTable urls;
   std::vector<std::uint8_t> url_flags;
   // Host -> registrable domain.

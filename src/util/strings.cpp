@@ -38,9 +38,15 @@ std::string lower(std::string_view s) {
 
 bool contains_ci(std::string_view haystack, std::string_view needle) {
   if (needle.empty()) return true;
-  const std::string h = lower(haystack);
-  const std::string n = lower(needle);
-  return h.find(n) != std::string::npos;
+  // Compares folded bytes in place, the same std::tolower folding
+  // lower() applies, so nothing is copied.
+  const auto fold = [](char c) {
+    return std::tolower(static_cast<unsigned char>(c));
+  };
+  return std::search(haystack.begin(), haystack.end(), needle.begin(),
+                     needle.end(), [&](char a, char b) {
+                       return fold(a) == fold(b);
+                     }) != haystack.end();
 }
 
 bool glob_match(std::string_view pattern, std::string_view text) {

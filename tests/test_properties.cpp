@@ -299,19 +299,33 @@ TEST(PropertySuite, LiteralSetMatchesGlob) {
       hispar::browser::AdBlocker::easylist_lite_patterns(),
       hispar::browser::HbDetector::standard_exchange_patterns(),
       hispar::browser::HbDetector::standard_ad_network_patterns()};
-  expect_holds("literal-set-vs-glob", 400,
-               [&](Gen& gen) -> std::optional<std::string> {
-                 const std::vector<std::string> patterns =
-                     gen.chance(0.25)
-                         ? gen.pick(bundled)
-                         : hispar::testkit::gen_literal_patterns(gen);
-                 std::vector<std::string> texts = urls;
-                 for (int i = 0; i < 16; ++i)
-                   texts.push_back(
-                       hispar::testkit::gen_filter_text(gen, patterns));
-                 return hispar::testkit::check_literal_set_matches_glob(
-                     patterns, texts);
-               });
+  // Tagged sets: the bundled lists as the standard detectors compile
+  // them, or one to three generated lists (sometimes an empty one, and
+  // sometimes repeating an earlier list so literals are shared between
+  // tags). Each text is generated against one of the lists.
+  expect_holds(
+      "literal-set-vs-glob", 400,
+      [&](Gen& gen) -> std::optional<std::string> {
+        std::vector<std::vector<std::string>> lists;
+        if (gen.chance(0.25)) {
+          lists.assign(std::begin(bundled), std::end(bundled));
+        } else {
+          const std::size_t count = 1 + gen.index(3);
+          while (lists.size() < count) {
+            if (gen.chance(0.1))
+              lists.emplace_back();
+            else if (!lists.empty() && gen.chance(0.2))
+              lists.push_back(lists[gen.index(lists.size())]);
+            else
+              lists.push_back(hispar::testkit::gen_literal_patterns(gen));
+          }
+        }
+        std::vector<std::string> texts = urls;
+        for (int i = 0; i < 16; ++i)
+          texts.push_back(hispar::testkit::gen_filter_text(
+              gen, lists[gen.index(lists.size())]));
+        return hispar::testkit::check_literal_set_matches_glob(lists, texts);
+      });
 }
 
 // --- Reference-model state machines ---

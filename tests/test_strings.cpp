@@ -39,9 +39,44 @@ TEST(Join, RoundTripsWithSplit) {
 TEST(Lower, MixedCase) { EXPECT_EQ(lower("AbC1!"), "abc1!"); }
 
 TEST(ContainsCi, CaseInsensitive) {
-  EXPECT_TRUE(contains_ci("X-Cache: HIT", "x-cache"));
-  EXPECT_TRUE(contains_ci("anything", ""));
-  EXPECT_FALSE(contains_ci("abc", "abd"));
+  // contains_ci folds in place; each case is also checked against
+  // lowering both sides into copies and searching.
+  struct Case {
+    std::string_view haystack;
+    std::string_view needle;
+    bool expected;
+  };
+  using namespace std::string_view_literals;
+  const Case cases[] = {
+      {"X-Cache: HIT", "x-cache", true},
+      {"anything", "", true},
+      {"abc", "abd", false},
+      {"Application/JavaScript", "jAVAsCRIPT", true},  // mixed both sides
+      {"TEXT/HTML", "html", true},
+      {"text/css", "CSS", true},
+      {"image/png", "PNG ", false},
+      {"", "", true},  // empty needle, even in an empty haystack
+      {"abc", "", true},
+      {"", "a", false},
+      {"font", "font/woff2", false},  // needle longer than the haystack
+      {"woff", "woff", true},
+      {"caf\xc9", "caf\xc9", true},  // high bytes compare as themselves
+      {"CAF\xc9", "caf\xc9", true},
+      {"caf\xc9", "caf\xe9", false},  // and are not case-folded
+      {"\x80\xff", "\xFF", true},
+      {"a\0B"sv, "\0b"sv, true},  // an embedded NUL is an ordinary byte
+      {"a\0B"sv, "ab", false},
+      {"abab\0c"sv, "B\0C"sv, true},
+      {"aaab", "AAB", true},  // a partial match restarts correctly
+  };
+  for (const Case& c : cases) {
+    const std::string where =
+        "'" + std::string(c.haystack) + "' / '" + std::string(c.needle) + "'";
+    EXPECT_EQ(contains_ci(c.haystack, c.needle), c.expected) << where;
+    EXPECT_EQ(lower(c.haystack).find(lower(c.needle)) != std::string::npos,
+              c.expected)
+        << where;
+  }
 }
 
 TEST(WithThousands, FormatsGroups) {
@@ -146,6 +181,56 @@ TEST(LiteralSet, HighBytesAndNulIndexAsUnsigned) {
   EXPECT_FALSE(set.any("ab"));
 }
 
+TEST(LiteralSet, EachListSetsItsOwnTagBit) {
+  const std::vector<std::vector<std::string>> lists = {
+      {"*tracker*", "*/px/*"}, {"*bid.*"}, {"*ads.*", "*q*"}};
+  const LiteralSet set(lists);
+  EXPECT_EQ(set.size(), 5u);
+  EXPECT_EQ(set.size(0), 2u);
+  EXPECT_EQ(set.size(1), 1u);
+  EXPECT_EQ(set.size(2), 2u);
+  EXPECT_EQ(set.flags("https://bid.example/"), 2u);
+  EXPECT_EQ(set.flags("https://tracker.bid.example/px/"), 3u);
+  EXPECT_EQ(set.flags("https://www.example/"), 0u);
+  EXPECT_EQ(set.flags("q"), 4u);  // one-byte literal
+  EXPECT_EQ(set.flags("https://ads.bid.tracker/"), 7u);
+  EXPECT_TRUE(set.any("https://ads.example/"));
+  EXPECT_FALSE(set.any("https://www.example/"));
+}
+
+TEST(LiteralSet, LiteralSharedByListsSetsEveryBit) {
+  // "*ads.*" is in lists 0 and 2 and compiles to one entry with both
+  // tags; list 1 is empty, so its bit is never set.
+  const std::vector<std::vector<std::string>> lists = {
+      {"*ads.*"}, {}, {"*ads.*", "*q*"}};
+  const LiteralSet set(lists);
+  EXPECT_EQ(set.size(), 3u);
+  EXPECT_EQ(set.size(1), 0u);
+  EXPECT_EQ(set.flags("https://ads.example/"), 5u);
+  EXPECT_EQ(set.flags("q"), 4u);
+  EXPECT_EQ(set.flags("https://ads.example/q"), 5u);
+}
+
+TEST(LiteralSet, WantedMaskLimitsTheBits) {
+  const std::vector<std::vector<std::string>> lists = {
+      {"*a*"}, {"*bc*"}, {"*cd*"}};
+  const LiteralSet set(lists);
+  EXPECT_EQ(set.flags("abcd"), 7u);
+  EXPECT_EQ(set.flags("abcd", 1u), 1u);
+  EXPECT_EQ(set.flags("abcd", 6u), 6u);
+  EXPECT_EQ(set.flags("abcd", 0u), 0u);
+  EXPECT_EQ(set.flags("bcd", 5u), 4u);
+  EXPECT_EQ(set.flags("abcd", 8u), 0u);  // no list 3
+}
+
+TEST(LiteralSet, TooManyListsThrow) {
+  const std::vector<std::vector<std::string>> lists(LiteralSet::kMaxLists + 1);
+  EXPECT_THROW(LiteralSet{lists}, std::invalid_argument);
+  const std::vector<std::vector<std::string>> most(LiteralSet::kMaxLists,
+                                                   {"*z*"});
+  EXPECT_EQ(LiteralSet(most).flags("z"), 0xffffffffu);
+}
+
 TEST(LiteralSet, EmptySetMatchesNothing) {
   const LiteralSet set(std::vector<std::string>{});
   EXPECT_EQ(set.size(), 0u);
@@ -215,6 +300,71 @@ TEST(SymbolTable, HashCollisionsAreResolvedByStringCompare) {
   EXPECT_EQ(table.size(), urls.size());
 }
 
+TEST(SymbolTable, StringsLongerThanOneBlockRoundTrip) {
+  hispar::util::SymbolTable table;
+  constexpr std::size_t kBlock = hispar::util::SymbolTable::kBlockBytes;
+  const std::string small = "https://www.example.com/";
+  const std::string exact(kBlock, 'e');
+  const std::string huge = std::string(3 * kBlock + 7, 'h') + "tail";
+  const std::string huge_twin = std::string(3 * kBlock + 7, 'h') + "tail!";
+  EXPECT_EQ(table.intern(small), 0u);
+  EXPECT_EQ(table.intern(huge), 1u);
+  EXPECT_EQ(table.intern(exact), 2u);
+  EXPECT_EQ(table.intern(huge_twin), 3u);
+  EXPECT_EQ(table.intern("after"), 4u);
+  EXPECT_EQ(table.intern(huge), 1u);
+  EXPECT_EQ(table.find(huge_twin), 3u);
+  EXPECT_EQ(table.view(0), small);
+  EXPECT_EQ(table.view(1), huge);
+  EXPECT_EQ(table.view(2), exact);
+  EXPECT_EQ(table.view(3), huge_twin);
+  EXPECT_EQ(table.view(4), "after");
+}
+
+TEST(SymbolTable, EarlyViewsStayByteEqualAcrossManyBlocks) {
+  // Fill well over a hundred arena blocks with URL-shaped keys of
+  // varying length; every view handed out along the way must still read
+  // back its bytes (under ASan this also checks no view dangles).
+  hispar::util::SymbolTable table;
+  std::vector<std::string> keys;
+  std::vector<std::string_view> views;
+  std::size_t bytes = 0;
+  for (int i = 0; bytes < 130 * hispar::util::SymbolTable::kBlockBytes; ++i) {
+    std::string key = "https://cdn" + std::to_string(i % 97) +
+                      ".example.com/" + std::string(i % 300, 'p') +
+                      std::to_string(i);
+    bytes += key.size();
+    views.push_back(table.view(table.intern(key)));
+    keys.push_back(std::move(key));
+  }
+  ASSERT_EQ(table.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(views[i], keys[i]) << i;
+    ASSERT_EQ(table.view(static_cast<std::uint32_t>(i)).data(),
+              views[i].data());
+  }
+}
+
+TEST(SymbolTable, EqualLengthKeysWithASharedPrefixGetDistinctIds) {
+  // Same length, same first 8..63 bytes: differ only in the last word
+  // or the last byte, so the word-wise hash must see the tail.
+  hispar::util::SymbolTable table;
+  std::vector<std::string> keys;
+  for (std::size_t length : {9u, 16u, 17u, 63u, 64u})
+    for (char last : {'a', 'b', 'A', '\0', '\xff'}) {
+      std::string key(length, 'k');
+      key.back() = last;
+      keys.push_back(key);
+    }
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    EXPECT_EQ(table.intern(keys[i]), static_cast<std::uint32_t>(i));
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    EXPECT_EQ(table.find(keys[i]), static_cast<std::uint32_t>(i));
+  // Trailing NULs change the key.
+  EXPECT_NE(table.intern(std::string("k\0", 2)),
+            table.intern(std::string("k\0\0", 3)));
+}
+
 TEST(SymbolTable, ClearResetsToEmpty) {
   hispar::util::SymbolTable table;
   table.intern("a");
@@ -223,6 +373,19 @@ TEST(SymbolTable, ClearResetsToEmpty) {
   EXPECT_EQ(table.size(), 0u);
   EXPECT_EQ(table.find("a"), hispar::util::SymbolTable::kNpos);
   EXPECT_EQ(table.intern("b"), 0u);  // ids restart from zero
+  // Again after filling several arena blocks: the arena is freed too,
+  // and re-interned strings read back their own bytes.
+  for (int i = 0; i < 5000; ++i)
+    table.intern("https://site" + std::to_string(i) + ".example/");
+  table.clear();
+  EXPECT_EQ(table.find("https://site0.example/"),
+            hispar::util::SymbolTable::kNpos);
+  for (int i = 0; i < 3000; ++i) {
+    const std::string key = "https://other" + std::to_string(i) + ".example/";
+    ASSERT_EQ(table.intern(key), static_cast<std::uint32_t>(i));
+    ASSERT_EQ(table.view(static_cast<std::uint32_t>(i)), key);
+  }
+  EXPECT_EQ(table.find("b"), hispar::util::SymbolTable::kNpos);
 }
 
 }  // namespace
